@@ -19,6 +19,9 @@
 //!   under the word-major `optimized` flavour and once under the
 //!   bit-serial (MLWeaving) flavour, so the plane-major layout gets the
 //!   same compute/memory/coherence bound classification as the baseline.
+//!   Training arithmetic does not depend on the flavour, so the
+//!   bit-serial entries time the flavour's own dot and AXPY over the
+//!   weaved reference rows instead of a training run.
 //!   A per-ISA ladder re-profiles the flagship D8M8 signature under each
 //!   supported kernel ISA tier (`@scalar`, `@avx2`, `@avx512`) with the
 //!   width-scaled cost model next to GNPS measured under a scoped tier
@@ -30,12 +33,18 @@
 //! arithmetic, `cachesim` knows coherence, `buckwild-trace` knows what
 //! actually happened — the roofline is where the three meet.
 
+use std::time::Instant;
+
 use buckwild::{Backend, ChaosSgdConfig, FaultPlan, Loss, NoopInjector, SgdConfig};
 use buckwild_cachesim::{Machine, SgdWorkload, SimConfig};
-use buckwild_dataset::generate;
+use buckwild_dataset::{generate, DenseDataset};
 use buckwild_dmgc::{RooflineEntry, RooflineReport, Signature};
+use buckwild_fixed::{FixedSpec, Rounding};
 use buckwild_kernels::cost::{iteration_mix, iteration_mix_isa, CostParams, QuantizerKind};
-use buckwild_kernels::{isa, KernelFlavor, KernelIsa};
+use buckwild_kernels::optimized::FixedInt;
+use buckwild_kernels::weave::{self, WeavedMatrix};
+use buckwild_kernels::{isa, AxpyRand, KernelFlavor, KernelIsa};
+use buckwild_prng::XorshiftLanes;
 use buckwild_telemetry::{NoopRecorder, Recorder, ShardedRecorder};
 use buckwild_trace::{Phase, RingTracer, Trace};
 
@@ -125,20 +134,56 @@ pub fn traced_kernel_gnps(trace: &Trace) -> Option<f64> {
     (busy_ns > 0).then(|| elems as f64 / busy_ns as f64)
 }
 
-/// Measures one signature's kernel GNPS from a traced single-thread run
-/// under the given kernel flavour.
-fn measured_gnps(signature: &Signature, flavor: KernelFlavor, seed: u64) -> Option<f64> {
+/// Measures one signature's kernel GNPS from a traced single-thread run.
+fn measured_gnps(signature: &Signature, seed: u64) -> Option<f64> {
     let problem = generate::logistic_dense(FEATURES, EXAMPLES, seed);
     let tracer = RingTracer::new();
     SgdConfig::new(Loss::Logistic)
         .signature(*signature)
-        .kernel(flavor)
         .threads(1)
         .epochs(2)
         .seed(seed)
         .train_traced(&problem.data, &NoopRecorder, &NoopInjector, &tracer)
         .ok()?;
     traced_kernel_gnps(&tracer.drain())
+}
+
+/// Measures one fixed-point signature's bit-serial kernel GNPS on the
+/// reference problem. Training arithmetic does not depend on the kernel
+/// flavour (a `BitSerial` run trains through the optimized step), so a
+/// traced training run would report optimized numbers here; instead the
+/// flavour's own dot and AXPY are timed over the weaved rows of the
+/// quantized reference data, two passes like the traced runs.
+fn measured_bitserial_gnps(signature: &Signature, seed: u64) -> Option<f64> {
+    let data = generate::logistic_dense(FEATURES, EXAMPLES, seed).data;
+    match (signature.dataset().bits(), signature.model().bits()) {
+        (8, 8) => Some(bitserial_gnps::<i8, i8>(&data, seed)),
+        (16, 16) => Some(bitserial_gnps::<i16, i16>(&data, seed)),
+        _ => None,
+    }
+}
+
+fn bitserial_gnps<D: FixedInt, M: FixedInt>(data: &DenseDataset<f32>, seed: u64) -> f64 {
+    let x_spec = FixedSpec::unit_range(D::BITS);
+    let w_spec = FixedSpec::model_range(M::BITS);
+    let quantized: DenseDataset<D> = data.requantize(x_spec, Rounding::Biased, seed);
+    let mut rows = WeavedMatrix::new(data.examples(), data.features(), &x_spec);
+    for i in 0..data.examples() {
+        rows.set_row(i, quantized.example(i));
+    }
+    let mut w = vec![M::saturate(0); data.features()];
+    let mut lanes = XorshiftLanes::<8>::seed_from(seed);
+    let start = Instant::now();
+    for _ in 0..2 {
+        for i in 0..data.examples() {
+            let x = rows.row(i);
+            let dot = weave::dot_fixed(x, &w, D::BITS, &w_spec);
+            let a = Loss::Logistic.axpy_scale(dot, data.label(i), 0.1);
+            let block = lanes.step();
+            weave::axpy_fixed(&mut w, a, x, D::BITS, &w_spec, AxpyRand::Shared(&block));
+        }
+    }
+    (2 * data.numbers()) as f64 / start.elapsed().as_secs_f64().max(1e-12) / 1e9
 }
 
 /// Coherence cycles per processed element for a dense shared-model run:
@@ -299,7 +344,10 @@ pub fn roofline_with_backends(seed: u64) -> (RooflineReport, BackendComparison) 
             memory_cycles: memory,
             coherence_cycles: simulated_coherence_cycles(&signature),
             predicted_gnps: params.estimate_gnps(&mix),
-            measured_gnps: measured_gnps(&signature, flavor, seed),
+            measured_gnps: match flavor {
+                KernelFlavor::BitSerial => measured_bitserial_gnps(&signature, seed),
+                _ => measured_gnps(&signature, seed),
+            },
         });
     };
     for text in ROOFLINE_SIGNATURES {
@@ -324,7 +372,7 @@ pub fn roofline_with_backends(seed: u64) -> (RooflineReport, BackendComparison) 
             + params.overhead_per_32b * mix.dataset_bytes / 32.0;
         let measured = {
             let _pin = isa::scoped(tier);
-            measured_gnps(&signature, KernelFlavor::Optimized, seed)
+            measured_gnps(&signature, seed)
         };
         report.push(RooflineEntry {
             label: format!("D8M8/optimized@{tier}"),

@@ -22,9 +22,10 @@
 //! writer) and the delta hooks the exchange protocol needs.
 
 use buckwild_fixed::FixedSpec;
-use buckwild_kernels::optimized::FixedInt;
-use buckwild_kernels::weave::{WeavedSlice, BLOCK};
+use buckwild_kernels::optimized::{self, FixedInt};
 
+use crate::model::{fixed_step, K_SHIFT};
+use crate::step::ModelAccess;
 use crate::ModelPrecision;
 
 /// The cache-line granule shards are aligned and padded to.
@@ -230,17 +231,15 @@ enum LocalStore<'a> {
 /// One worker's private model replica: [`SharedModel`](crate::SharedModel)
 /// arithmetic on plain (single-owner) storage.
 ///
-/// Every dot/AXPY below is a line-for-line transcription of the shared
-/// version with the relaxed atomic load/store pairs replaced by plain
-/// reads and writes — same widening, same `K_SHIFT = 15` fixed-point
-/// step scaling, same saturation bounds, same `f64` float-grid rounding.
-/// The backend-equivalence tests pin this down bit-for-bit.
+/// Its [`ModelAccess`] ops transcribe the shared versions with the
+/// relaxed atomic load/store pairs replaced by plain reads and writes —
+/// same widening, same `K_SHIFT = 15` fixed-point step scaling, same
+/// saturation bounds, same `f64` float-grid rounding. The
+/// backend-equivalence tests pin this down bit-for-bit.
 pub struct LocalModel<'a> {
     store: LocalStore<'a>,
     spec: FixedSpec,
 }
-
-const K_SHIFT: u32 = 15;
 
 impl LocalModel<'_> {
     /// Number of parameters.
@@ -252,28 +251,13 @@ impl LocalModel<'_> {
         }
     }
 
-    fn k_fixed(&self, a: f32, x_spec: &FixedSpec) -> i64 {
-        let k_real = a as f64 * x_spec.quantum() as f64 / self.spec.quantum() as f64;
-        (k_real * (1i64 << K_SHIFT) as f64)
-            .round()
-            .clamp(i32::MIN as f64, i32::MAX as f64) as i64
-    }
-
     /// Overwrites the replica from an `f32` snapshot (nearest rounding).
     pub(crate) fn restore_from(&mut self, values: &[f32]) {
         assert_eq!(values.len(), self.len(), "snapshot length mismatch");
         match &mut self.store {
             LocalStore::F32(w) => w.copy_from_slice(values),
-            LocalStore::I16(w) => {
-                for (wi, &v) in w.iter_mut().zip(values) {
-                    *wi = self.spec.quantize_unbiased(v, 0.5) as i16;
-                }
-            }
-            LocalStore::I8(w) => {
-                for (wi, &v) in w.iter_mut().zip(values) {
-                    *wi = self.spec.quantize_unbiased(v, 0.5) as i8;
-                }
-            }
+            LocalStore::I16(w) => int::restore(w, values, &self.spec),
+            LocalStore::I8(w) => int::restore(w, values, &self.spec),
         }
     }
 
@@ -282,16 +266,8 @@ impl LocalModel<'_> {
         assert_eq!(out.len(), self.len(), "buffer length mismatch");
         match &self.store {
             LocalStore::F32(w) => out.copy_from_slice(w),
-            LocalStore::I16(w) => {
-                for (o, &wi) in out.iter_mut().zip(w.iter()) {
-                    *o = self.spec.dequantize(i64::from(wi));
-                }
-            }
-            LocalStore::I8(w) => {
-                for (o, &wi) in out.iter_mut().zip(w.iter()) {
-                    *o = self.spec.dequantize(i64::from(wi));
-                }
-            }
+            LocalStore::I16(w) => int::dequant_into(w, out, &self.spec),
+            LocalStore::I8(w) => int::dequant_into(w, out, &self.spec),
         }
     }
 
@@ -306,16 +282,8 @@ impl LocalModel<'_> {
                     *p += wi - s;
                 }
             }
-            LocalStore::I16(w) => {
-                for ((p, &s), &wi) in pending.iter_mut().zip(snapshot).zip(w.iter()) {
-                    *p += self.spec.dequantize(i64::from(wi)) - s;
-                }
-            }
-            LocalStore::I8(w) => {
-                for ((p, &s), &wi) in pending.iter_mut().zip(snapshot).zip(w.iter()) {
-                    *p += self.spec.dequantize(i64::from(wi)) - s;
-                }
-            }
+            LocalStore::I16(w) => int::accumulate_diff(w, snapshot, pending, &self.spec),
+            LocalStore::I8(w) => int::accumulate_diff(w, snapshot, pending, &self.spec),
         }
     }
 
@@ -329,37 +297,23 @@ impl LocalModel<'_> {
                     *wi += scale * f32::from(v);
                 }
             }
-            LocalStore::I16(w) => {
-                let s = scale / self.spec.quantum();
-                for (wi, &v) in w.iter_mut().zip(q) {
-                    let target = f64::from(*wi) + f64::from(s * f32::from(v));
-                    *wi = (target + 0.5).floor().clamp(-32768.0, 32767.0) as i16;
-                }
-            }
-            LocalStore::I8(w) => {
-                let s = scale / self.spec.quantum();
-                for (wi, &v) in w.iter_mut().zip(q) {
-                    let target = f64::from(*wi) + f64::from(s * f32::from(v));
-                    *wi = (target + 0.5).floor().clamp(-128.0, 127.0) as i8;
-                }
-            }
+            LocalStore::I16(w) => int::apply_delta(w, q, scale / self.spec.quantum()),
+            LocalStore::I8(w) => int::apply_delta(w, q, scale / self.spec.quantum()),
         }
     }
+}
 
+impl ModelAccess for LocalModel<'_> {
     /// Dense dot against a fixed-point example (integer MAC).
     ///
     /// The integer arms route through the optimized kernels: integer
     /// addition commutes, so the chunked (and, when active, SIMD)
     /// accumulation is bit-identical to a plain left-to-right sum.
-    pub(crate) fn dot_fixed<D: FixedInt>(&self, x: &[D], x_spec: &FixedSpec) -> f32 {
+    fn dot_fixed<D: FixedInt>(&self, x: &[D], x_spec: &FixedSpec) -> f32 {
         assert_eq!(x.len(), self.len(), "length mismatch");
         match &self.store {
-            LocalStore::I8(w) => {
-                buckwild_kernels::optimized::dot_fixed_fixed(x, w, x_spec, &self.spec)
-            }
-            LocalStore::I16(w) => {
-                buckwild_kernels::optimized::dot_fixed_fixed(x, w, x_spec, &self.spec)
-            }
+            LocalStore::I8(w) => optimized::dot_fixed_fixed(x, w, x_spec, &self.spec),
+            LocalStore::I16(w) => optimized::dot_fixed_fixed(x, w, x_spec, &self.spec),
             LocalStore::F32(w) => {
                 let mut acc = 0f32;
                 for (xi, &wi) in x.iter().zip(w.iter()) {
@@ -370,54 +324,7 @@ impl LocalModel<'_> {
         }
     }
 
-    /// Dense dot against a bit-weaved example read at `bits` planes.
-    ///
-    /// Decodes each 64-element block and then accumulates exactly like
-    /// [`LocalModel::dot_fixed`], so a full-precision weaved read is
-    /// bit-identical to the unweaved fixed path.
-    pub(crate) fn dot_weaved(&self, x: WeavedSlice<'_>, bits: u32) -> f32 {
-        assert_eq!(x.len(), self.len(), "length mismatch");
-        let x_quantum = x.spec().quantum();
-        let mut decoded = [0i32; BLOCK];
-        match &self.store {
-            LocalStore::I8(w) => {
-                let mut total = 0i64;
-                for b in 0..x.blocks() {
-                    let filled = x.decode_block(b, bits, &mut decoded);
-                    let base = b * BLOCK;
-                    for (j, &xv) in decoded[..filled].iter().enumerate() {
-                        total += (xv * i32::from(w[base + j])) as i64;
-                    }
-                }
-                total as f32 * x_quantum * self.spec.quantum()
-            }
-            LocalStore::I16(w) => {
-                let mut total = 0i64;
-                for b in 0..x.blocks() {
-                    let filled = x.decode_block(b, bits, &mut decoded);
-                    let base = b * BLOCK;
-                    for (j, &xv) in decoded[..filled].iter().enumerate() {
-                        total += (xv * i32::from(w[base + j])) as i64;
-                    }
-                }
-                total as f32 * x_quantum * self.spec.quantum()
-            }
-            LocalStore::F32(w) => {
-                let mut acc = 0f32;
-                for b in 0..x.blocks() {
-                    let filled = x.decode_block(b, bits, &mut decoded);
-                    let base = b * BLOCK;
-                    for (j, &xv) in decoded[..filled].iter().enumerate() {
-                        acc += xv as f32 * w[base + j];
-                    }
-                }
-                acc * x_quantum
-            }
-        }
-    }
-
-    /// Dense dot against a float example.
-    pub(crate) fn dot_f32(&self, x: &[f32]) -> f32 {
+    fn dot_f32(&self, x: &[f32]) -> f32 {
         assert_eq!(x.len(), self.len(), "length mismatch");
         match &self.store {
             LocalStore::F32(w) => {
@@ -427,58 +334,37 @@ impl LocalModel<'_> {
                 }
                 acc
             }
-            LocalStore::I16(w) => {
-                let mut acc = 0f32;
-                for (xi, &wi) in x.iter().zip(w.iter()) {
-                    acc += xi * f32::from(wi);
-                }
-                acc * self.spec.quantum()
-            }
-            LocalStore::I8(w) => {
-                let mut acc = 0f32;
-                for (xi, &wi) in x.iter().zip(w.iter()) {
-                    acc += xi * f32::from(wi);
-                }
-                acc * self.spec.quantum()
-            }
+            LocalStore::I16(w) => int::dot_f32(w, x) * self.spec.quantum(),
+            LocalStore::I8(w) => int::dot_f32(w, x) * self.spec.quantum(),
         }
     }
 
-    /// Sparse dot with fixed-point values.
-    pub(crate) fn dot_sparse_fixed<D: FixedInt>(
+    fn dot_sparse_fixed<D: FixedInt>(
         &self,
         values: &[D],
         indices: &[u32],
         x_spec: &FixedSpec,
     ) -> f32 {
         assert_eq!(values.len(), indices.len(), "values/indices mismatch");
+        let q = x_spec.quantum();
         match &self.store {
             LocalStore::I8(w) => {
-                let mut total = 0i64;
-                for (v, &i) in values.iter().zip(indices) {
-                    total += (v.widen() * i32::from(w[i as usize])) as i64;
-                }
-                total as f32 * x_spec.quantum() * self.spec.quantum()
+                int::dot_sparse(w, values, indices) as f32 * q * self.spec.quantum()
             }
             LocalStore::I16(w) => {
-                let mut total = 0i64;
-                for (v, &i) in values.iter().zip(indices) {
-                    total += (v.widen() * i32::from(w[i as usize])) as i64;
-                }
-                total as f32 * x_spec.quantum() * self.spec.quantum()
+                int::dot_sparse(w, values, indices) as f32 * q * self.spec.quantum()
             }
             LocalStore::F32(w) => {
                 let mut acc = 0f32;
                 for (v, &i) in values.iter().zip(indices) {
                     acc += v.widen() as f32 * w[i as usize];
                 }
-                acc * x_spec.quantum()
+                acc * q
             }
         }
     }
 
-    /// Sparse dot with float values.
-    pub(crate) fn dot_sparse_f32(&self, values: &[f32], indices: &[u32]) -> f32 {
+    fn dot_sparse_f32(&self, values: &[f32], indices: &[u32]) -> f32 {
         assert_eq!(values.len(), indices.len(), "values/indices mismatch");
         match &self.store {
             LocalStore::F32(w) => {
@@ -488,46 +374,23 @@ impl LocalModel<'_> {
                 }
                 acc
             }
-            LocalStore::I16(w) => {
-                let mut acc = 0f32;
-                for (v, &i) in values.iter().zip(indices) {
-                    acc += v * f32::from(w[i as usize]);
-                }
-                acc * self.spec.quantum()
-            }
-            LocalStore::I8(w) => {
-                let mut acc = 0f32;
-                for (v, &i) in values.iter().zip(indices) {
-                    acc += v * f32::from(w[i as usize]);
-                }
-                acc * self.spec.quantum()
-            }
+            LocalStore::I16(w) => int::dot_sparse_f32(w, values, indices) * self.spec.quantum(),
+            LocalStore::I8(w) => int::dot_sparse_f32(w, values, indices) * self.spec.quantum(),
         }
     }
 
-    /// Dense quantized AXPY with per-element rounding offsets.
-    pub(crate) fn axpy_fixed<D: FixedInt>(
+    fn axpy_fixed<D: FixedInt>(
         &mut self,
         a: f32,
         x: &[D],
         x_spec: &FixedSpec,
-        offsets: &mut dyn FnMut(usize) -> i64,
+        offsets: impl FnMut(usize) -> i64,
     ) {
         assert_eq!(x.len(), self.len(), "length mismatch");
-        let k = self.k_fixed(a, x_spec);
+        let k = fixed_step(a, x_spec, &self.spec);
         match &mut self.store {
-            LocalStore::I8(w) => {
-                for (i, (xi, wi)) in x.iter().zip(w.iter_mut()).enumerate() {
-                    let delta = (xi.widen() as i64 * k + offsets(i)) >> K_SHIFT;
-                    *wi = (i64::from(*wi) + delta).clamp(-128, 127) as i8;
-                }
-            }
-            LocalStore::I16(w) => {
-                for (i, (xi, wi)) in x.iter().zip(w.iter_mut()).enumerate() {
-                    let delta = (xi.widen() as i64 * k + offsets(i)) >> K_SHIFT;
-                    *wi = (i64::from(*wi) + delta).clamp(-32768, 32767) as i16;
-                }
-            }
+            LocalStore::I8(w) => int::axpy_fixed(w, k, x, offsets),
+            LocalStore::I16(w) => int::axpy_fixed(w, k, x, offsets),
             LocalStore::F32(w) => {
                 let scale = a * x_spec.quantum();
                 for (xi, wi) in x.iter().zip(w.iter_mut()) {
@@ -537,104 +400,7 @@ impl LocalModel<'_> {
         }
     }
 
-    /// Dense quantized AXPY with a fixed 8-entry offset block.
-    pub(crate) fn axpy_fixed_block<D: FixedInt>(
-        &mut self,
-        a: f32,
-        x: &[D],
-        x_spec: &FixedSpec,
-        offsets: &[i64; 8],
-    ) {
-        assert_eq!(x.len(), self.len(), "length mismatch");
-        let k = self.k_fixed(a, x_spec);
-        match &mut self.store {
-            LocalStore::I8(w) => {
-                for (i, (xi, wi)) in x.iter().zip(w.iter_mut()).enumerate() {
-                    let delta = (xi.widen() as i64 * k + offsets[i & 7]) >> K_SHIFT;
-                    *wi = (i64::from(*wi) + delta).clamp(-128, 127) as i8;
-                }
-            }
-            LocalStore::I16(w) => {
-                for (i, (xi, wi)) in x.iter().zip(w.iter_mut()).enumerate() {
-                    let delta = (xi.widen() as i64 * k + offsets[i & 7]) >> K_SHIFT;
-                    *wi = (i64::from(*wi) + delta).clamp(-32768, 32767) as i16;
-                }
-            }
-            LocalStore::F32(w) => {
-                let scale = a * x_spec.quantum();
-                for (xi, wi) in x.iter().zip(w.iter_mut()) {
-                    *wi += scale * xi.widen() as f32;
-                }
-            }
-        }
-    }
-
-    /// Dense quantized AXPY from a bit-weaved example read at `bits`
-    /// planes, with per-element rounding offsets — the weaved twin of
-    /// [`LocalModel::axpy_fixed`] (same `K_SHIFT` scaling, saturation, and
-    /// offset indexing by global element position).
-    pub(crate) fn axpy_weaved(
-        &mut self,
-        a: f32,
-        x: WeavedSlice<'_>,
-        bits: u32,
-        offsets: &mut dyn FnMut(usize) -> i64,
-    ) {
-        assert_eq!(x.len(), self.len(), "length mismatch");
-        let k = self.k_fixed(a, x.spec());
-        let mut decoded = [0i32; BLOCK];
-        match &mut self.store {
-            LocalStore::I8(w) => {
-                for b in 0..x.blocks() {
-                    let filled = x.decode_block(b, bits, &mut decoded);
-                    let base = b * BLOCK;
-                    for (j, &xv) in decoded[..filled].iter().enumerate() {
-                        let i = base + j;
-                        let delta = (xv as i64 * k + offsets(i)) >> K_SHIFT;
-                        let wi = &mut w[i];
-                        *wi = (i64::from(*wi) + delta).clamp(-128, 127) as i8;
-                    }
-                }
-            }
-            LocalStore::I16(w) => {
-                for b in 0..x.blocks() {
-                    let filled = x.decode_block(b, bits, &mut decoded);
-                    let base = b * BLOCK;
-                    for (j, &xv) in decoded[..filled].iter().enumerate() {
-                        let i = base + j;
-                        let delta = (xv as i64 * k + offsets(i)) >> K_SHIFT;
-                        let wi = &mut w[i];
-                        *wi = (i64::from(*wi) + delta).clamp(-32768, 32767) as i16;
-                    }
-                }
-            }
-            LocalStore::F32(w) => {
-                let scale = a * x.spec().quantum();
-                for b in 0..x.blocks() {
-                    let filled = x.decode_block(b, bits, &mut decoded);
-                    let base = b * BLOCK;
-                    for (j, &xv) in decoded[..filled].iter().enumerate() {
-                        w[base + j] += scale * xv as f32;
-                    }
-                }
-            }
-        }
-    }
-
-    /// Weaved AXPY with a fixed 8-entry offset block.
-    pub(crate) fn axpy_weaved_block(
-        &mut self,
-        a: f32,
-        x: WeavedSlice<'_>,
-        bits: u32,
-        offsets: &[i64; 8],
-    ) {
-        self.axpy_weaved(a, x, bits, &mut |i| offsets[i & 7]);
-    }
-
-    /// Dense AXPY with float data; fixed storage rounds on the grid with
-    /// `uniforms` samples in `[0, 1)`.
-    pub(crate) fn axpy_f32(&mut self, a: f32, x: &[f32], uniforms: &mut dyn FnMut(usize) -> f32) {
+    fn axpy_f32(&mut self, a: f32, x: &[f32], uniforms: impl FnMut(usize) -> f32) {
         assert_eq!(x.len(), self.len(), "length mismatch");
         match &mut self.store {
             LocalStore::F32(w) => {
@@ -642,55 +408,24 @@ impl LocalModel<'_> {
                     *wi += a * xi;
                 }
             }
-            LocalStore::I16(w) => {
-                let scale = a / self.spec.quantum();
-                for (i, (xi, wi)) in x.iter().zip(w.iter_mut()).enumerate() {
-                    let target = f64::from(*wi) + f64::from(scale * xi);
-                    let grid = (target + f64::from(uniforms(i)))
-                        .floor()
-                        .clamp(-32768.0, 32767.0);
-                    *wi = grid as i16;
-                }
-            }
-            LocalStore::I8(w) => {
-                let scale = a / self.spec.quantum();
-                for (i, (xi, wi)) in x.iter().zip(w.iter_mut()).enumerate() {
-                    let target = f64::from(*wi) + f64::from(scale * xi);
-                    let grid = (target + f64::from(uniforms(i)))
-                        .floor()
-                        .clamp(-128.0, 127.0);
-                    *wi = grid as i8;
-                }
-            }
+            LocalStore::I16(w) => int::axpy_f32(w, a / self.spec.quantum(), x, uniforms),
+            LocalStore::I8(w) => int::axpy_f32(w, a / self.spec.quantum(), x, uniforms),
         }
     }
 
-    /// Sparse quantized AXPY over the indexed coordinates only.
-    pub(crate) fn axpy_sparse_fixed<D: FixedInt>(
+    fn axpy_sparse_fixed<D: FixedInt>(
         &mut self,
         a: f32,
         values: &[D],
         indices: &[u32],
         x_spec: &FixedSpec,
-        offsets: &mut dyn FnMut(usize) -> i64,
+        offsets: impl FnMut(usize) -> i64,
     ) {
         assert_eq!(values.len(), indices.len(), "values/indices mismatch");
-        let k = self.k_fixed(a, x_spec);
+        let k = fixed_step(a, x_spec, &self.spec);
         match &mut self.store {
-            LocalStore::I8(w) => {
-                for (j, (v, &i)) in values.iter().zip(indices).enumerate() {
-                    let delta = (v.widen() as i64 * k + offsets(j)) >> K_SHIFT;
-                    let wi = &mut w[i as usize];
-                    *wi = (i64::from(*wi) + delta).clamp(-128, 127) as i8;
-                }
-            }
-            LocalStore::I16(w) => {
-                for (j, (v, &i)) in values.iter().zip(indices).enumerate() {
-                    let delta = (v.widen() as i64 * k + offsets(j)) >> K_SHIFT;
-                    let wi = &mut w[i as usize];
-                    *wi = (i64::from(*wi) + delta).clamp(-32768, 32767) as i16;
-                }
-            }
+            LocalStore::I8(w) => int::axpy_sparse_fixed(w, k, values, indices, offsets),
+            LocalStore::I16(w) => int::axpy_sparse_fixed(w, k, values, indices, offsets),
             LocalStore::F32(w) => {
                 let scale = a * x_spec.quantum();
                 for (v, &i) in values.iter().zip(indices) {
@@ -700,13 +435,12 @@ impl LocalModel<'_> {
         }
     }
 
-    /// Sparse AXPY with float values.
-    pub(crate) fn axpy_sparse_f32(
+    fn axpy_sparse_f32(
         &mut self,
         a: f32,
         values: &[f32],
         indices: &[u32],
-        uniforms: &mut dyn FnMut(usize) -> f32,
+        uniforms: impl FnMut(usize) -> f32,
     ) {
         assert_eq!(values.len(), indices.len(), "values/indices mismatch");
         match &mut self.store {
@@ -716,27 +450,132 @@ impl LocalModel<'_> {
                 }
             }
             LocalStore::I16(w) => {
-                let scale = a / self.spec.quantum();
-                for (j, (v, &i)) in values.iter().zip(indices).enumerate() {
-                    let wi = &mut w[i as usize];
-                    let target = f64::from(*wi) + f64::from(scale * v);
-                    let grid = (target + f64::from(uniforms(j)))
-                        .floor()
-                        .clamp(-32768.0, 32767.0);
-                    *wi = grid as i16;
-                }
+                int::axpy_sparse_f32(w, a / self.spec.quantum(), values, indices, uniforms);
             }
             LocalStore::I8(w) => {
-                let scale = a / self.spec.quantum();
-                for (j, (v, &i)) in values.iter().zip(indices).enumerate() {
-                    let wi = &mut w[i as usize];
-                    let target = f64::from(*wi) + f64::from(scale * v);
-                    let grid = (target + f64::from(uniforms(j)))
-                        .floor()
-                        .clamp(-128.0, 127.0);
-                    *wi = grid as i8;
-                }
+                int::axpy_sparse_f32(w, a / self.spec.quantum(), values, indices, uniforms);
             }
+        }
+    }
+}
+
+/// The integer replica arithmetic, written once for the `i8` and `i16`
+/// stores: the shared model's integer arms with plain loads and stores.
+/// `W::saturate` clamps to the storage range exactly like the shared
+/// model's explicit bounds, and an `f64` grid value saturates the same
+/// whether it is clamped before or after the `i64` conversion.
+mod int {
+    use super::{FixedInt, FixedSpec, K_SHIFT};
+
+    pub(super) fn restore<W: FixedInt>(w: &mut [W], values: &[f32], spec: &FixedSpec) {
+        for (wi, &v) in w.iter_mut().zip(values) {
+            *wi = W::saturate(spec.quantize_unbiased(v, 0.5));
+        }
+    }
+
+    pub(super) fn dequant_into<W: FixedInt>(w: &[W], out: &mut [f32], spec: &FixedSpec) {
+        for (o, wi) in out.iter_mut().zip(w) {
+            *o = spec.dequantize(wi.widen().into());
+        }
+    }
+
+    pub(super) fn accumulate_diff<W: FixedInt>(
+        w: &[W],
+        snapshot: &[f32],
+        pending: &mut [f32],
+        spec: &FixedSpec,
+    ) {
+        for ((p, &s), wi) in pending.iter_mut().zip(snapshot).zip(w) {
+            *p += spec.dequantize(wi.widen().into()) - s;
+        }
+    }
+
+    /// `w += round_nearest(s · q)` in grid units.
+    pub(super) fn apply_delta<W: FixedInt>(w: &mut [W], q: &[i8], s: f32) {
+        for (wi, &v) in w.iter_mut().zip(q) {
+            let target = f64::from(wi.widen()) + f64::from(s * f32::from(v));
+            *wi = W::saturate((target + 0.5).floor() as i64);
+        }
+    }
+
+    pub(super) fn dot_f32<W: FixedInt>(w: &[W], x: &[f32]) -> f32 {
+        let mut acc = 0f32;
+        for (xi, wi) in x.iter().zip(w) {
+            acc += xi * wi.widen() as f32;
+        }
+        acc
+    }
+
+    pub(super) fn dot_sparse<W: FixedInt, D: FixedInt>(
+        w: &[W],
+        values: &[D],
+        indices: &[u32],
+    ) -> i64 {
+        let mut total = 0i64;
+        for (v, &i) in values.iter().zip(indices) {
+            total += (v.widen() * w[i as usize].widen()) as i64;
+        }
+        total
+    }
+
+    pub(super) fn dot_sparse_f32<W: FixedInt>(w: &[W], values: &[f32], indices: &[u32]) -> f32 {
+        let mut acc = 0f32;
+        for (v, &i) in values.iter().zip(indices) {
+            acc += v * w[i as usize].widen() as f32;
+        }
+        acc
+    }
+
+    pub(super) fn axpy_fixed<W: FixedInt, D: FixedInt>(
+        w: &mut [W],
+        k: i64,
+        x: &[D],
+        mut offsets: impl FnMut(usize) -> i64,
+    ) {
+        for (i, (xi, wi)) in x.iter().zip(w.iter_mut()).enumerate() {
+            let delta = (xi.widen() as i64 * k + offsets(i)) >> K_SHIFT;
+            *wi = W::saturate(wi.widen() as i64 + delta);
+        }
+    }
+
+    /// `w += a·x` with `scale = a / q_w`, rounded on the grid by `uniforms`.
+    pub(super) fn axpy_f32<W: FixedInt>(
+        w: &mut [W],
+        scale: f32,
+        x: &[f32],
+        mut uniforms: impl FnMut(usize) -> f32,
+    ) {
+        for (i, (xi, wi)) in x.iter().zip(w.iter_mut()).enumerate() {
+            let target = f64::from(wi.widen()) + f64::from(scale * xi);
+            *wi = W::saturate((target + f64::from(uniforms(i))).floor() as i64);
+        }
+    }
+
+    pub(super) fn axpy_sparse_fixed<W: FixedInt, D: FixedInt>(
+        w: &mut [W],
+        k: i64,
+        values: &[D],
+        indices: &[u32],
+        mut offsets: impl FnMut(usize) -> i64,
+    ) {
+        for (j, (v, &i)) in values.iter().zip(indices).enumerate() {
+            let delta = (v.widen() as i64 * k + offsets(j)) >> K_SHIFT;
+            let wi = &mut w[i as usize];
+            *wi = W::saturate(wi.widen() as i64 + delta);
+        }
+    }
+
+    pub(super) fn axpy_sparse_f32<W: FixedInt>(
+        w: &mut [W],
+        scale: f32,
+        values: &[f32],
+        indices: &[u32],
+        mut uniforms: impl FnMut(usize) -> f32,
+    ) {
+        for (j, (v, &i)) in values.iter().zip(indices).enumerate() {
+            let wi = &mut w[i as usize];
+            let target = f64::from(wi.widen()) + f64::from(scale * v);
+            *wi = W::saturate((target + f64::from(uniforms(j))).floor() as i64);
         }
     }
 }
@@ -746,7 +585,6 @@ mod tests {
     use super::*;
     use crate::SharedModel;
     use buckwild_fixed::FixedSpec;
-    use buckwild_kernels::weave::WeavedVec;
 
     #[test]
     fn shards_are_cache_line_aligned_at_every_precision() {
@@ -813,11 +651,6 @@ mod tests {
                 shared.dot_fixed(&x8, &x_spec)
             );
             assert_eq!(local.dot_f32(&xf), shared.dot_f32(&xf));
-            let weaved = WeavedVec::encode(&x8, &x_spec);
-            assert_eq!(
-                local.dot_weaved(weaved.view(), 8),
-                shared.dot_weaved(weaved.view(), 8)
-            );
 
             let mut off_a = |i: usize| ((i * 7919) % (1 << 15)) as i64;
             let mut off_b = |i: usize| ((i * 7919) % (1 << 15)) as i64;
@@ -825,11 +658,8 @@ mod tests {
             local.axpy_fixed(0.37, &x8, &x_spec, &mut off_b);
 
             let offs = [3i64, 99, 1024, 0, 8000, 123, 77, 15000];
-            shared.axpy_fixed_block(-0.21, &x8, &x_spec, &offs);
-            local.axpy_fixed_block(-0.21, &x8, &x_spec, &offs);
-
-            shared.axpy_weaved_block(0.11, weaved.view(), 8, &offs);
-            local.axpy_weaved_block(0.11, weaved.view(), 8, &offs);
+            shared.axpy_fixed(-0.21, &x8, &x_spec, |i| offs[i & 7]);
+            local.axpy_fixed(-0.21, &x8, &x_spec, |i| offs[i & 7]);
 
             let mut uni_a = |i: usize| ((i * 31) % 97) as f32 / 97.0;
             let mut uni_b = |i: usize| ((i * 31) % 97) as f32 / 97.0;

@@ -16,7 +16,8 @@ use crate::predict::EpochSnapshot;
 use crate::train::{TrainControl, TrainProgress};
 use crate::Loss;
 
-/// Which training engine executes the run (paper §2 vs ROADMAP item 1).
+/// Which training engine executes the run: the paper's shared model (§2)
+/// or per-worker replicas.
 ///
 /// * [`Backend::SharedModel`] — the classic Hogwild!/Buckwild! engine:
 ///   every worker updates one shared atomic model, communication happens
@@ -236,11 +237,13 @@ impl std::error::Error for ConfigError {}
 pub struct SgdConfig {
     /// The training engine (shared atomic model vs sharded replicas).
     pub backend: Backend,
-    /// The kernel flavour executing the dot/AXPY inner loops.
+    /// The kernel flavour of the run.
     ///
-    /// [`KernelFlavor::BitSerial`] trains dense fixed-point datasets
-    /// through the bit-weaved layout; float datasets and sparse data
-    /// fall back to the standard kernels (see `kernels::dispatch`).
+    /// Training arithmetic does not depend on the flavour: every flavour
+    /// trains through the same step, so a [`KernelFlavor::BitSerial`]
+    /// run is bit-identical to a [`KernelFlavor::Optimized`] one. The
+    /// flavours differ in the kernel layer (`buckwild_kernels::dispatch`)
+    /// and its benchmarks.
     pub kernel: KernelFlavor,
     /// For [`Backend::ShardedDelta`]: iterations between delta exchanges.
     pub delta_every: usize,
@@ -364,7 +367,8 @@ impl SgdConfig {
     }
 
     /// Sets the kernel flavour. Overrides the process default installed
-    /// by [`set_default_kernel`] / `BUCKWILD_KERNEL`.
+    /// by [`set_default_kernel`] / `BUCKWILD_KERNEL`. Training arithmetic
+    /// does not depend on the flavour (see the `kernel` field).
     #[must_use]
     pub fn kernel(mut self, kernel: KernelFlavor) -> Self {
         self.kernel = kernel;

@@ -89,6 +89,7 @@ pub mod prelude;
 pub mod rff;
 pub mod ring;
 mod shard;
+mod step;
 pub mod sync;
 mod train;
 

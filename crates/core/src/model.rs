@@ -15,9 +15,22 @@ use std::sync::atomic::{AtomicI16, AtomicI8, AtomicU32, Ordering};
 use buckwild_dmgc::Signature;
 use buckwild_fixed::FixedSpec;
 use buckwild_kernels::optimized::FixedInt;
-use buckwild_kernels::weave::{WeavedSlice, BLOCK};
 
 use crate::predict::{FixedWords, QuantizedModel};
+use crate::step::ModelAccess;
+
+/// Fraction bits of the fixed-point AXPY step scale.
+pub(crate) const K_SHIFT: u32 = 15;
+
+/// The AXPY step `a` rescaled from the data grid onto the model grid, in
+/// `K_SHIFT` fraction bits: `round(a · q_x / q_w · 2^15)`, saturated to
+/// `i32`.
+pub(crate) fn fixed_step(a: f32, x_spec: &FixedSpec, model_spec: &FixedSpec) -> i64 {
+    let k_real = a as f64 * x_spec.quantum() as f64 / model_spec.quantum() as f64;
+    (k_real * (1i64 << K_SHIFT) as f64)
+        .round()
+        .clamp(i32::MIN as f64, i32::MAX as f64) as i64
+}
 
 /// Storage precision of the shared model — the `M` term of the signature.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -289,60 +302,6 @@ impl SharedModel {
         }
     }
 
-    /// Dense dot against a bit-weaved example served at `bits` planes.
-    ///
-    /// Each 64-element block is reconstructed plane-serially, then
-    /// accumulated in exactly the order and widths of
-    /// [`SharedModel::dot_fixed`] — so at full served precision the
-    /// result is bit-identical to the unweaved path, which is what the
-    /// trainer's bit-identity test pins.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.len() != len()` or `bits` exceeds the stored weave
-    /// precision.
-    #[must_use]
-    pub fn dot_weaved(&self, x: WeavedSlice<'_>, bits: u32) -> f32 {
-        assert_eq!(x.len(), self.len(), "length mismatch");
-        let x_quantum = x.spec().quantum();
-        let mut decoded = [0i32; BLOCK];
-        match &self.storage {
-            Storage::I8(w) => {
-                let mut total = 0i64;
-                for block in 0..x.blocks() {
-                    let valid = x.decode_block(block, bits, &mut decoded);
-                    let base = block * BLOCK;
-                    for (j, &xv) in decoded.iter().enumerate().take(valid) {
-                        total += (xv * w[base + j].load(Ordering::Relaxed) as i32) as i64;
-                    }
-                }
-                total as f32 * x_quantum * self.spec.quantum()
-            }
-            Storage::I16(w) => {
-                let mut total = 0i64;
-                for block in 0..x.blocks() {
-                    let valid = x.decode_block(block, bits, &mut decoded);
-                    let base = block * BLOCK;
-                    for (j, &xv) in decoded.iter().enumerate().take(valid) {
-                        total += (xv * w[base + j].load(Ordering::Relaxed) as i32) as i64;
-                    }
-                }
-                total as f32 * x_quantum * self.spec.quantum()
-            }
-            Storage::F32(w) => {
-                let mut acc = 0f32;
-                for block in 0..x.blocks() {
-                    let valid = x.decode_block(block, bits, &mut decoded);
-                    let base = block * BLOCK;
-                    for (j, &xv) in decoded.iter().enumerate().take(valid) {
-                        acc += xv as f32 * f32::from_bits(w[base + j].load(Ordering::Relaxed));
-                    }
-                }
-                acc * x_quantum
-            }
-        }
-    }
-
     /// Dense dot against a float example.
     ///
     /// # Panics
@@ -453,7 +412,9 @@ impl SharedModel {
     /// (in `[0, 1)`) on the float-grid path.
     ///
     /// Each element update is a relaxed load/store pair — racy, Hogwild!-
-    /// style.
+    /// style. `offsets` is generic, so a constant block such as
+    /// `|i| block[i & 7]` (biased or per-iteration shared rounding)
+    /// compiles to a loop with no per-element call.
     ///
     /// # Panics
     ///
@@ -463,14 +424,10 @@ impl SharedModel {
         a: f32,
         x: &[D],
         x_spec: &FixedSpec,
-        offsets: &mut dyn FnMut(usize) -> i64,
+        mut offsets: impl FnMut(usize) -> i64,
     ) {
         assert_eq!(x.len(), self.len(), "length mismatch");
-        const K_SHIFT: u32 = 15;
-        let k_real = a as f64 * x_spec.quantum() as f64 / self.spec.quantum() as f64;
-        let k = (k_real * (1i64 << K_SHIFT) as f64)
-            .round()
-            .clamp(i32::MIN as f64, i32::MAX as f64) as i64;
+        let k = fixed_step(a, x_spec, &self.spec);
         match &self.storage {
             Storage::I8(w) => {
                 for (i, (xi, wi)) in x.iter().zip(w).enumerate() {
@@ -495,130 +452,6 @@ impl SharedModel {
                 }
             }
         }
-    }
-
-    /// Dense quantized AXPY with a fixed 8-entry offset block — the fast
-    /// path for biased and shared-randomness rounding, where the offsets
-    /// are constant across the call and no per-element indirect call is
-    /// needed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.len() != len()`.
-    pub fn axpy_fixed_block<D: FixedInt>(
-        &self,
-        a: f32,
-        x: &[D],
-        x_spec: &FixedSpec,
-        offsets: &[i64; 8],
-    ) {
-        assert_eq!(x.len(), self.len(), "length mismatch");
-        const K_SHIFT: u32 = 15;
-        let k_real = a as f64 * x_spec.quantum() as f64 / self.spec.quantum() as f64;
-        let k = (k_real * (1i64 << K_SHIFT) as f64)
-            .round()
-            .clamp(i32::MIN as f64, i32::MAX as f64) as i64;
-        match &self.storage {
-            Storage::I8(w) => {
-                for (i, (xi, wi)) in x.iter().zip(w).enumerate() {
-                    let delta = (xi.widen() as i64 * k + offsets[i & 7]) >> K_SHIFT;
-                    let updated = (wi.load(Ordering::Relaxed) as i64 + delta).clamp(-128, 127);
-                    wi.store(updated as i8, Ordering::Relaxed);
-                }
-            }
-            Storage::I16(w) => {
-                for (i, (xi, wi)) in x.iter().zip(w).enumerate() {
-                    let delta = (xi.widen() as i64 * k + offsets[i & 7]) >> K_SHIFT;
-                    let updated = (wi.load(Ordering::Relaxed) as i64 + delta).clamp(-32768, 32767);
-                    wi.store(updated as i16, Ordering::Relaxed);
-                }
-            }
-            Storage::F32(w) => {
-                let scale = a * x_spec.quantum();
-                for (xi, wi) in x.iter().zip(w) {
-                    let updated =
-                        f32::from_bits(wi.load(Ordering::Relaxed)) + scale * xi.widen() as f32;
-                    wi.store(updated.to_bits(), Ordering::Relaxed);
-                }
-            }
-        }
-    }
-
-    /// Dense quantized AXPY from a bit-weaved example served at `bits`
-    /// planes — the weaved counterpart of [`SharedModel::axpy_fixed`],
-    /// with identical arithmetic once each block is reconstructed (so
-    /// full-precision serving is bit-identical to the unweaved path).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.len() != len()` or `bits` exceeds the stored weave
-    /// precision.
-    pub fn axpy_weaved(
-        &self,
-        a: f32,
-        x: WeavedSlice<'_>,
-        bits: u32,
-        offsets: &mut dyn FnMut(usize) -> i64,
-    ) {
-        assert_eq!(x.len(), self.len(), "length mismatch");
-        const K_SHIFT: u32 = 15;
-        let k_real = a as f64 * x.spec().quantum() as f64 / self.spec.quantum() as f64;
-        let k = (k_real * (1i64 << K_SHIFT) as f64)
-            .round()
-            .clamp(i32::MIN as f64, i32::MAX as f64) as i64;
-        let mut decoded = [0i32; BLOCK];
-        match &self.storage {
-            Storage::I8(w) => {
-                for block in 0..x.blocks() {
-                    let valid = x.decode_block(block, bits, &mut decoded);
-                    let base = block * BLOCK;
-                    for (j, &xv) in decoded.iter().enumerate().take(valid) {
-                        let i = base + j;
-                        let delta = (xv as i64 * k + offsets(i)) >> K_SHIFT;
-                        let updated =
-                            (w[i].load(Ordering::Relaxed) as i64 + delta).clamp(-128, 127);
-                        w[i].store(updated as i8, Ordering::Relaxed);
-                    }
-                }
-            }
-            Storage::I16(w) => {
-                for block in 0..x.blocks() {
-                    let valid = x.decode_block(block, bits, &mut decoded);
-                    let base = block * BLOCK;
-                    for (j, &xv) in decoded.iter().enumerate().take(valid) {
-                        let i = base + j;
-                        let delta = (xv as i64 * k + offsets(i)) >> K_SHIFT;
-                        let updated =
-                            (w[i].load(Ordering::Relaxed) as i64 + delta).clamp(-32768, 32767);
-                        w[i].store(updated as i16, Ordering::Relaxed);
-                    }
-                }
-            }
-            Storage::F32(w) => {
-                let scale = a * x.spec().quantum();
-                for block in 0..x.blocks() {
-                    let valid = x.decode_block(block, bits, &mut decoded);
-                    let base = block * BLOCK;
-                    for (j, &xv) in decoded.iter().enumerate().take(valid) {
-                        let i = base + j;
-                        let updated =
-                            f32::from_bits(w[i].load(Ordering::Relaxed)) + scale * xv as f32;
-                        w[i].store(updated.to_bits(), Ordering::Relaxed);
-                    }
-                }
-            }
-        }
-    }
-
-    /// [`SharedModel::axpy_weaved`] with a fixed 8-entry offset block —
-    /// the weaved counterpart of [`SharedModel::axpy_fixed_block`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.len() != len()` or `bits` exceeds the stored weave
-    /// precision.
-    pub fn axpy_weaved_block(&self, a: f32, x: WeavedSlice<'_>, bits: u32, offsets: &[i64; 8]) {
-        self.axpy_weaved(a, x, bits, &mut |i| offsets[i & 7]);
     }
 
     /// Dense AXPY with float example data; fixed storage quantizes with
@@ -627,7 +460,7 @@ impl SharedModel {
     /// # Panics
     ///
     /// Panics if `x.len() != len()`.
-    pub fn axpy_f32(&self, a: f32, x: &[f32], uniforms: &mut dyn FnMut(usize) -> f32) {
+    pub fn axpy_f32(&self, a: f32, x: &[f32], mut uniforms: impl FnMut(usize) -> f32) {
         assert_eq!(x.len(), self.len(), "length mismatch");
         match &self.storage {
             Storage::F32(w) => {
@@ -668,14 +501,10 @@ impl SharedModel {
         values: &[D],
         indices: &[u32],
         x_spec: &FixedSpec,
-        offsets: &mut dyn FnMut(usize) -> i64,
+        mut offsets: impl FnMut(usize) -> i64,
     ) {
         assert_eq!(values.len(), indices.len(), "values/indices mismatch");
-        const K_SHIFT: u32 = 15;
-        let k_real = a as f64 * x_spec.quantum() as f64 / self.spec.quantum() as f64;
-        let k = (k_real * (1i64 << K_SHIFT) as f64)
-            .round()
-            .clamp(i32::MIN as f64, i32::MAX as f64) as i64;
+        let k = fixed_step(a, x_spec, &self.spec);
         match &self.storage {
             Storage::I8(w) => {
                 for (j, (v, &i)) in values.iter().zip(indices).enumerate() {
@@ -716,7 +545,7 @@ impl SharedModel {
         a: f32,
         values: &[f32],
         indices: &[u32],
-        uniforms: &mut dyn FnMut(usize) -> f32,
+        mut uniforms: impl FnMut(usize) -> f32,
     ) {
         assert_eq!(values.len(), indices.len(), "values/indices mismatch");
         match &self.storage {
@@ -748,6 +577,66 @@ impl SharedModel {
                 }
             }
         }
+    }
+}
+
+/// The training step's view of the shared model: every worker holds the
+/// same `&SharedModel`, and writes go through relaxed atomics.
+impl ModelAccess for &SharedModel {
+    fn dot_fixed<D: FixedInt>(&self, x: &[D], x_spec: &FixedSpec) -> f32 {
+        SharedModel::dot_fixed(self, x, x_spec)
+    }
+
+    fn dot_f32(&self, x: &[f32]) -> f32 {
+        SharedModel::dot_f32(self, x)
+    }
+
+    fn dot_sparse_fixed<D: FixedInt>(
+        &self,
+        values: &[D],
+        indices: &[u32],
+        x_spec: &FixedSpec,
+    ) -> f32 {
+        SharedModel::dot_sparse_fixed(self, values, indices, x_spec)
+    }
+
+    fn dot_sparse_f32(&self, values: &[f32], indices: &[u32]) -> f32 {
+        SharedModel::dot_sparse_f32(self, values, indices)
+    }
+
+    fn axpy_fixed<D: FixedInt>(
+        &mut self,
+        a: f32,
+        x: &[D],
+        x_spec: &FixedSpec,
+        offsets: impl FnMut(usize) -> i64,
+    ) {
+        SharedModel::axpy_fixed(self, a, x, x_spec, offsets);
+    }
+
+    fn axpy_f32(&mut self, a: f32, x: &[f32], uniforms: impl FnMut(usize) -> f32) {
+        SharedModel::axpy_f32(self, a, x, uniforms);
+    }
+
+    fn axpy_sparse_fixed<D: FixedInt>(
+        &mut self,
+        a: f32,
+        values: &[D],
+        indices: &[u32],
+        x_spec: &FixedSpec,
+        offsets: impl FnMut(usize) -> i64,
+    ) {
+        SharedModel::axpy_sparse_fixed(self, a, values, indices, x_spec, offsets);
+    }
+
+    fn axpy_sparse_f32(
+        &mut self,
+        a: f32,
+        values: &[f32],
+        indices: &[u32],
+        uniforms: impl FnMut(usize) -> f32,
+    ) {
+        SharedModel::axpy_sparse_f32(self, a, values, indices, uniforms);
     }
 }
 

@@ -9,32 +9,30 @@
 //! (including `NoopRecorder`, which compiles every instrumentation point
 //! away).
 
-use std::num::NonZeroU32;
+use std::sync::Barrier;
 use std::time::Instant;
 
 use buckwild_chaos::metric as chaos_metric;
-use buckwild_chaos::{
-    FaultPlan, Injector, IterFate, NoopInjector, PlanError, PlanInjector, WorkerInjector,
-};
-use buckwild_dataset::{DenseDataset, Label, SparseDataset};
+use buckwild_chaos::{FaultPlan, Injector, NoopInjector, PlanError, PlanInjector, WorkerInjector};
+use buckwild_dataset::{DenseDataset, SparseDataset};
 use buckwild_fixed::{FixedSpec, Rounding};
-use buckwild_kernels::cost::QuantizerKind;
-use buckwild_kernels::optimized::FixedInt;
-use buckwild_kernels::weave::{self, WeavedMatrix, BLOCK};
-use buckwild_kernels::KernelFlavor;
-use buckwild_prng::{split_seed, Mt19937, Prng, XorshiftLanes};
+use buckwild_prng::split_seed;
 use buckwild_telemetry::{Counter, Gauge, Histogram, MetricsSnapshot, Recorder, ShardedRecorder};
 use buckwild_trace::{fault_kind, NoopTracer, Phase, Tracer, WorkerTracer};
 
-use crate::config::{Backend, QuantizerConfig};
-use crate::predict::EpochSnapshot;
+use crate::config::Backend;
+use crate::predict::{EpochSnapshot, QuantizedModel};
+use crate::shard::ShardEngine;
+use crate::step::{
+    ChaosCounters, Exchange, ModelAccess, NoExchange, QuantState, Worker, WorkerCounters,
+};
 use crate::{metrics, ConfigError, Loss, ModelPrecision, SgdConfig, SharedModel};
 
 /// Replay attempts per epoch before the engine gives up on recovery and
 /// accepts the partial epoch — a guard against injectors that crash the
 /// same epoch forever ([`PlanInjector`] consumes each crash, so plan-driven
 /// runs never hit it).
-pub(crate) const MAX_REPLAYS_PER_EPOCH: u32 = 8;
+const MAX_REPLAYS_PER_EPOCH: u32 = 8;
 
 /// Metric names recorded by [`SgdConfig::train`] / [`SgdConfig::train_with`].
 pub mod metric {
@@ -62,12 +60,6 @@ pub mod metric {
     /// worker spawn/join gets); this counter makes the cost visible
     /// instead of hidden.
     pub const SNAPSHOT_PUBLISH_NS: &str = "snapshot.publish_ns";
-    /// Counter: bit-weave encodings performed while preparing the
-    /// dataset ([`KernelFlavor::BitSerial`](buckwild_kernels::KernelFlavor)
-    /// runs only). One encoding serves every precision 1..=16, so this
-    /// stays at 1 per run however many precisions are read — the
-    /// zero-re-encode property the MLWeaving layout exists for.
-    pub const WEAVE_ENCODES: &str = "weave.encodes";
 }
 
 /// Error from [`SgdConfig::train`].
@@ -195,19 +187,6 @@ impl TrainReport {
     pub fn metrics(&self) -> &MetricsSnapshot {
         &self.metrics
     }
-
-    /// Assembles a report; used by the engines in this crate.
-    pub(crate) fn from_parts(
-        model: Vec<f32>,
-        epoch_losses: Vec<f64>,
-        metrics: MetricsSnapshot,
-    ) -> Self {
-        TrainReport {
-            model,
-            epoch_losses,
-            metrics,
-        }
-    }
 }
 
 /// Progress handed to the [`SgdConfig::on_epoch`] observer after each epoch.
@@ -234,324 +213,51 @@ pub enum TrainControl {
     Stop,
 }
 
-/// Per-worker rounding-randomness state (the §5.2 strategies).
-#[doc(hidden)]
-pub struct QuantState {
-    mode: Mode,
-}
-
-// One per worker, built once per run — the MT19937 state-table size
-// difference between variants has no per-iteration cost.
-#[allow(clippy::large_enum_variant)]
-enum Mode {
-    Biased,
-    Mersenne(Mt19937),
-    Fresh {
-        lanes: XorshiftLanes<8>,
-        block: [u32; 8],
-        cursor: usize,
-    },
-    Shared {
-        lanes: XorshiftLanes<8>,
-        block: [u32; 8],
-        period: Option<NonZeroU32>,
-        used: u32,
-    },
-}
-
-const HALF15: i64 = 1 << 14;
-const MASK15: u32 = (1 << 15) - 1;
-const U24: f32 = 1.0 / (1u32 << 24) as f32;
-
-impl QuantState {
-    pub(crate) fn new(quantizer: &QuantizerConfig, rounding: Rounding, seed: u64) -> Self {
-        let mode = if rounding == Rounding::Biased {
-            Mode::Biased
-        } else {
-            match quantizer.kind {
-                QuantizerKind::Biased => Mode::Biased,
-                QuantizerKind::MersenneScalar => Mode::Mersenne(Mt19937::seed_from(seed)),
-                QuantizerKind::XorshiftFresh => Mode::Fresh {
-                    lanes: XorshiftLanes::seed_from(seed),
-                    block: [0; 8],
-                    cursor: 8,
-                },
-                QuantizerKind::XorshiftShared => {
-                    let mut lanes = XorshiftLanes::seed_from(seed);
-                    let block = lanes.step();
-                    Mode::Shared {
-                        lanes,
-                        block,
-                        period: quantizer.shared_period,
-                        used: 0,
-                    }
-                }
-            }
-        };
-        QuantState { mode }
-    }
-
-    /// Marks an iteration boundary: shared-randomness mode with no explicit
-    /// period refreshes its 256-bit block here (once per AXPY, the paper
-    /// cadence).
-    pub(crate) fn begin_iteration(&mut self) {
-        if let Mode::Shared {
-            lanes,
-            block,
-            period: None,
-            used,
-        } = &mut self.mode
-        {
-            *block = lanes.step();
-            *used = 0;
-        }
-    }
-
-    /// If the current strategy uses one offset block for the whole
-    /// iteration (biased or per-iteration shared randomness), returns it —
-    /// enabling the indirect-call-free AXPY fast path.
-    pub(crate) fn block_offsets(&self) -> Option<[i64; 8]> {
-        match &self.mode {
-            Mode::Biased => Some([HALF15; 8]),
-            Mode::Shared {
-                block,
-                period: None,
-                ..
-            } => {
-                let mut offs = [0i64; 8];
-                for (o, w) in offs.iter_mut().zip(block) {
-                    *o = (w & MASK15) as i64;
-                }
-                Some(offs)
-            }
-            _ => None,
-        }
-    }
-
-    /// Pre-shift rounding offset in `[0, 2^15)` for element `i`.
-    pub(crate) fn offset15(&mut self, i: usize) -> i64 {
-        match &mut self.mode {
-            Mode::Biased => HALF15,
-            Mode::Mersenne(mt) => (mt.next_u32() & MASK15) as i64,
-            Mode::Fresh {
-                lanes,
-                block,
-                cursor,
-            } => {
-                if *cursor >= 8 {
-                    *block = lanes.step();
-                    *cursor = 0;
-                }
-                let word = block[*cursor];
-                *cursor += 1;
-                (word & MASK15) as i64
-            }
-            Mode::Shared {
-                lanes,
-                block,
-                period,
-                used,
-            } => {
-                if let Some(p) = period {
-                    if *used >= p.get() {
-                        *block = lanes.step();
-                        *used = 0;
-                    }
-                    *used += 1;
-                }
-                (block[i % 8] & MASK15) as i64
-            }
-        }
-    }
-
-    /// Uniform `[0, 1)` sample for element `i` (float-grid quantization).
-    pub(crate) fn uniform(&mut self, i: usize) -> f32 {
-        match &mut self.mode {
-            Mode::Biased => 0.5,
-            Mode::Mersenne(mt) => mt.next_f32(),
-            Mode::Fresh {
-                lanes,
-                block,
-                cursor,
-            } => {
-                if *cursor >= 8 {
-                    *block = lanes.step();
-                    *cursor = 0;
-                }
-                let word = block[*cursor];
-                *cursor += 1;
-                (word >> 8) as f32 * U24
-            }
-            Mode::Shared {
-                lanes,
-                block,
-                period,
-                used,
-            } => {
-                if let Some(p) = period {
-                    if *used >= p.get() {
-                        *block = lanes.step();
-                        *used = 0;
-                    }
-                    *used += 1;
-                }
-                (block[i % 8] >> 8) as f32 * U24
-            }
-        }
-    }
-}
-
-/// Dataset quantized to the signature's `D` precision.
+/// A dataset quantized to the signature's `D` precision (the `f32`
+/// variants borrow the caller's data as-is).
 ///
 /// `pub` only because it appears in the sealed engine trait; the `train`
 /// module is private, so it is not nameable outside the crate.
 #[doc(hidden)]
-pub enum DenseQuant<'a> {
-    F32(&'a DenseDataset<f32>),
-    I16(DenseDataset<i16>),
-    I8(DenseDataset<i8>),
-    Weaved(WeavedDense),
+pub enum Prepared<'a> {
+    DenseF32(&'a DenseDataset<f32>),
+    DenseI16(DenseDataset<i16>),
+    DenseI8(DenseDataset<i8>),
+    SparseF32(&'a SparseDataset<f32, u32>),
+    SparseI16(SparseDataset<i16, u32>),
+    SparseI8(SparseDataset<i8, u32>),
 }
 
-/// A dense fixed-point dataset in the bit-weaved layout: one
-/// [`WeavedMatrix`] of example rows plus the labels.
-///
-/// `pub` only because it appears in the sealed engine trait (like
-/// [`DenseQuant`]).
-#[doc(hidden)]
-pub struct WeavedDense {
-    pub(crate) matrix: WeavedMatrix,
-    pub(crate) labels: Vec<Label>,
-}
-
-impl WeavedDense {
-    /// Weaves an already-quantized dense dataset row by row.
-    ///
-    /// Quantizing first and weaving the resulting reprs keeps the stored
-    /// values bit-identical to the unweaved fixed path — the weave is a
-    /// re-layout, never a re-quantization.
-    fn build<D: FixedInt>(data: &DenseDataset<D>) -> Self {
-        let mut matrix = WeavedMatrix::new(data.examples(), data.features(), &data.spec());
-        for i in 0..data.examples() {
-            matrix.set_row(i, data.example(i));
-        }
-        WeavedDense {
-            matrix,
-            labels: data.labels().to_vec(),
-        }
-    }
-}
-
-#[doc(hidden)]
-pub enum SparseQuant<'a> {
-    F32(&'a SparseDataset<f32, u32>),
-    I16(SparseDataset<i16, u32>),
-    I8(SparseDataset<i8, u32>),
-}
-
-/// Everything a worker needs besides the data and its RNG state.
-#[doc(hidden)]
-pub struct WorkerCtx<'a> {
-    model: &'a SharedModel,
-    loss: Loss,
-    step: f32,
-    minibatch: usize,
-    worker: usize,
-    threads: usize,
-}
-
-/// Chaos telemetry handles, created only for active injectors so that
-/// fault-free snapshots carry no zero-valued `chaos.*` entries.
-#[doc(hidden)]
-pub struct ChaosCounters<C, H> {
-    pub(crate) stalls: C,
-    pub(crate) dropped: C,
-    pub(crate) stall_ticks: H,
-}
-
-/// Telemetry handles a worker updates in its hot loop.
-#[doc(hidden)]
-pub struct WorkerCounters<C, H> {
-    pub(crate) iterations: C,
-    pub(crate) numbers: C,
-    pub(crate) rounds: C,
-    pub(crate) chaos: Option<ChaosCounters<C, H>>,
-}
-
-impl<C: Counter, H: Histogram> WorkerCounters<C, H> {
-    /// Executes an iteration fate: counts and serves a stall, reports
-    /// whether the iteration should run at all (`false` = crash).
-    #[inline]
-    pub(crate) fn serve_fate<T: WorkerTracer>(&self, fate: IterFate, tracer: &mut T) -> bool {
-        match fate {
-            IterFate::Proceed => true,
-            IterFate::Stall(ticks) => {
-                if let Some(chaos) = &self.chaos {
-                    chaos.stalls.incr();
-                    chaos.stall_ticks.record(f64::from(ticks));
-                }
-                let span = tracer.begin();
-                for _ in 0..ticks {
-                    std::thread::yield_now();
-                }
-                tracer.end(Phase::ChaosFault, span, fault_kind::STALL);
-                true
-            }
-            IterFate::Crash(_) => false,
-        }
-    }
-
-    /// Counts a shared-model write the injector discarded.
-    #[inline]
-    pub(crate) fn count_dropped(&self) {
-        if let Some(chaos) = &self.chaos {
-            chaos.dropped.incr();
+impl Prepared<'_> {
+    /// Runs one worker's share of one epoch on either backend. Returns
+    /// `true` if the injector crashed the worker mid-epoch.
+    fn run_worker<M: ModelAccess>(
+        &self,
+        model: &mut M,
+        exchange: &mut impl Exchange<M>,
+        worker: Worker<impl Counter, impl Histogram, impl WorkerInjector, impl WorkerTracer>,
+    ) -> bool {
+        match self {
+            Prepared::DenseF32(d) => worker.run(d, model, exchange),
+            Prepared::DenseI16(d) => worker.run(d, model, exchange),
+            Prepared::DenseI8(d) => worker.run(d, model, exchange),
+            Prepared::SparseF32(d) => worker.run(d, model, exchange),
+            Prepared::SparseI16(d) => worker.run(d, model, exchange),
+            Prepared::SparseI8(d) => worker.run(d, model, exchange),
         }
     }
 }
 
 pub(crate) mod sealed {
-    use super::{Loss, QuantState, SgdConfig, WorkerCounters, WorkerCtx};
-    use crate::arena::LocalModel;
-    use crate::shard::{DeltaSync, ShardCtx};
-    use buckwild_chaos::WorkerInjector;
-    use buckwild_telemetry::{Counter, Histogram};
-    use buckwild_trace::WorkerTracer;
+    use super::{Loss, Prepared, SgdConfig};
 
     /// The private engine interface behind [`super::TrainData`]. Not
     /// nameable outside this crate, which seals the public trait.
     pub trait Sealed {
-        /// The dataset after quantization to the signature's `D` precision.
-        type Prepared<'a>: Sync
-        where
-            Self: 'a;
-
         fn examples(&self) -> usize;
-        fn prepare<'a>(&'a self, config: &SgdConfig) -> Self::Prepared<'a>;
+        /// Quantizes the dataset to the signature's `D` precision.
+        fn prepare(&self, config: &SgdConfig) -> Prepared<'_>;
         fn model_features(&self) -> usize;
-        /// Runs one worker's shard of one epoch. Returns `true` if the
-        /// injector crashed the worker mid-epoch.
-        fn run_worker<C: Counter, H: Histogram, W: WorkerInjector, T: WorkerTracer>(
-            prepared: &Self::Prepared<'_>,
-            ctx: &WorkerCtx<'_>,
-            counters: &WorkerCounters<C, H>,
-            rng: &mut QuantState,
-            inj: &mut W,
-            tracer: &mut T,
-        ) -> bool;
-        /// Runs one worker's shard of one epoch on the shared-nothing
-        /// backend: a private replica plus the delta-exchange protocol.
-        #[allow(clippy::too_many_arguments)]
-        fn run_worker_sharded<C: Counter, H: Histogram, W: WorkerInjector, T: WorkerTracer>(
-            prepared: &Self::Prepared<'_>,
-            ctx: &ShardCtx,
-            local: &mut LocalModel<'_>,
-            sync: &mut DeltaSync<'_, C>,
-            counters: &WorkerCounters<C, H>,
-            rng: &mut QuantState,
-            inj: &mut W,
-            tracer: &mut T,
-        ) -> bool;
         fn mean_loss(&self, loss: Loss, model: &[f32]) -> f64;
     }
 }
@@ -567,8 +273,6 @@ pub(crate) mod sealed {
 pub trait TrainData: sealed::Sealed {}
 
 impl sealed::Sealed for DenseDataset<f32> {
-    type Prepared<'a> = DenseQuant<'a>;
-
     fn examples(&self) -> usize {
         self.examples()
     }
@@ -577,62 +281,13 @@ impl sealed::Sealed for DenseDataset<f32> {
         self.features()
     }
 
-    fn prepare<'a>(&'a self, config: &SgdConfig) -> DenseQuant<'a> {
+    fn prepare(&self, config: &SgdConfig) -> Prepared<'_> {
         let d = config.signature.dataset();
         match (d.bits(), d.is_float()) {
-            (32, true) => DenseQuant::F32(self),
-            (16, false) if config.kernel == KernelFlavor::BitSerial => DenseQuant::Weaved(
-                WeavedDense::build(&self.quantize_i16(FixedSpec::unit_range(16))),
-            ),
-            (16, false) => DenseQuant::I16(self.quantize_i16(FixedSpec::unit_range(16))),
-            (8, false) if config.kernel == KernelFlavor::BitSerial => DenseQuant::Weaved(
-                WeavedDense::build(&self.quantize_i8(FixedSpec::unit_range(8))),
-            ),
-            (8, false) => DenseQuant::I8(self.quantize_i8(FixedSpec::unit_range(8))),
+            (32, true) => Prepared::DenseF32(self),
+            (16, false) => Prepared::DenseI16(self.quantize_i16(FixedSpec::unit_range(16))),
+            (8, false) => Prepared::DenseI8(self.quantize_i8(FixedSpec::unit_range(8))),
             _ => unreachable!("rejected by validate"),
-        }
-    }
-
-    fn run_worker<C: Counter, H: Histogram, W: WorkerInjector, T: WorkerTracer>(
-        prepared: &DenseQuant<'_>,
-        ctx: &WorkerCtx<'_>,
-        counters: &WorkerCounters<C, H>,
-        rng: &mut QuantState,
-        inj: &mut W,
-        tracer: &mut T,
-    ) -> bool {
-        match prepared {
-            DenseQuant::F32(d) => worker_dense_f32(ctx, d, counters, rng, inj, tracer),
-            DenseQuant::I16(d) => worker_dense_fixed(ctx, d, counters, rng, inj, tracer),
-            DenseQuant::I8(d) => worker_dense_fixed(ctx, d, counters, rng, inj, tracer),
-            DenseQuant::Weaved(d) => worker_dense_weaved(ctx, d, counters, rng, inj, tracer),
-        }
-    }
-
-    fn run_worker_sharded<C: Counter, H: Histogram, W: WorkerInjector, T: WorkerTracer>(
-        prepared: &DenseQuant<'_>,
-        ctx: &crate::shard::ShardCtx,
-        local: &mut crate::arena::LocalModel<'_>,
-        sync: &mut crate::shard::DeltaSync<'_, C>,
-        counters: &WorkerCounters<C, H>,
-        rng: &mut QuantState,
-        inj: &mut W,
-        tracer: &mut T,
-    ) -> bool {
-        use crate::shard;
-        match prepared {
-            DenseQuant::F32(d) => {
-                shard::worker_dense_f32(ctx, d, local, sync, counters, rng, inj, tracer)
-            }
-            DenseQuant::I16(d) => {
-                shard::worker_dense_fixed(ctx, d, local, sync, counters, rng, inj, tracer)
-            }
-            DenseQuant::I8(d) => {
-                shard::worker_dense_fixed(ctx, d, local, sync, counters, rng, inj, tracer)
-            }
-            DenseQuant::Weaved(d) => {
-                shard::worker_dense_weaved(ctx, d, local, sync, counters, rng, inj, tracer)
-            }
         }
     }
 
@@ -644,8 +299,6 @@ impl sealed::Sealed for DenseDataset<f32> {
 impl TrainData for DenseDataset<f32> {}
 
 impl sealed::Sealed for SparseDataset<f32, u32> {
-    type Prepared<'a> = SparseQuant<'a>;
-
     fn examples(&self) -> usize {
         self.examples()
     }
@@ -654,60 +307,16 @@ impl sealed::Sealed for SparseDataset<f32, u32> {
         self.features()
     }
 
-    fn prepare<'a>(&'a self, config: &SgdConfig) -> SparseQuant<'a> {
+    fn prepare(&self, config: &SgdConfig) -> Prepared<'_> {
         let d = config.signature.dataset();
+        let spec = FixedSpec::unit_range(d.bits());
         match (d.bits(), d.is_float()) {
-            (32, true) => SparseQuant::F32(self),
-            (16, false) => SparseQuant::I16(self.requantize(
-                FixedSpec::unit_range(16),
-                Rounding::Biased,
-                config.seed,
-            )),
-            (8, false) => SparseQuant::I8(self.requantize(
-                FixedSpec::unit_range(8),
-                Rounding::Biased,
-                config.seed,
-            )),
+            (32, true) => Prepared::SparseF32(self),
+            (16, false) => {
+                Prepared::SparseI16(self.requantize(spec, Rounding::Biased, config.seed))
+            }
+            (8, false) => Prepared::SparseI8(self.requantize(spec, Rounding::Biased, config.seed)),
             _ => unreachable!("rejected by validate"),
-        }
-    }
-
-    fn run_worker<C: Counter, H: Histogram, W: WorkerInjector, T: WorkerTracer>(
-        prepared: &SparseQuant<'_>,
-        ctx: &WorkerCtx<'_>,
-        counters: &WorkerCounters<C, H>,
-        rng: &mut QuantState,
-        inj: &mut W,
-        tracer: &mut T,
-    ) -> bool {
-        match prepared {
-            SparseQuant::F32(d) => worker_sparse_f32(ctx, d, counters, rng, inj, tracer),
-            SparseQuant::I16(d) => worker_sparse_fixed(ctx, d, counters, rng, inj, tracer),
-            SparseQuant::I8(d) => worker_sparse_fixed(ctx, d, counters, rng, inj, tracer),
-        }
-    }
-
-    fn run_worker_sharded<C: Counter, H: Histogram, W: WorkerInjector, T: WorkerTracer>(
-        prepared: &SparseQuant<'_>,
-        ctx: &crate::shard::ShardCtx,
-        local: &mut crate::arena::LocalModel<'_>,
-        sync: &mut crate::shard::DeltaSync<'_, C>,
-        counters: &WorkerCounters<C, H>,
-        rng: &mut QuantState,
-        inj: &mut W,
-        tracer: &mut T,
-    ) -> bool {
-        use crate::shard;
-        match prepared {
-            SparseQuant::F32(d) => {
-                shard::worker_sparse_f32(ctx, d, local, sync, counters, rng, inj, tracer)
-            }
-            SparseQuant::I16(d) => {
-                shard::worker_sparse_fixed(ctx, d, local, sync, counters, rng, inj, tracer)
-            }
-            SparseQuant::I8(d) => {
-                shard::worker_sparse_fixed(ctx, d, local, sync, counters, rng, inj, tracer)
-            }
         }
     }
 
@@ -717,6 +326,65 @@ impl sealed::Sealed for SparseDataset<f32, u32> {
 }
 
 impl TrainData for SparseDataset<f32, u32> {}
+
+/// What a threaded backend sets up and tears down around the shared
+/// worker loop: the model each worker reaches, the exchange between
+/// workers, crash checkpoints, and the model the run reports.
+pub(crate) trait Engine {
+    /// Hands out one part per worker for the coming epoch.
+    fn parts<R: Recorder>(&mut self, threads: usize, recorder: &R) -> Vec<impl WorkerPart>;
+    /// Captures the whole model state for crash rollback.
+    fn checkpoint(&self) -> Vec<f32>;
+    /// Rolls back to a [`Engine::checkpoint`].
+    fn restore(&mut self, checkpoint: &[f32]);
+    /// The model losses are scored on and the report returns.
+    fn model(&self) -> Vec<f32>;
+    /// The epoch-boundary snapshot handed to the `on_snapshot` observer.
+    fn publish(&self) -> QuantizedModel;
+}
+
+/// One worker's share of an epoch, moved onto the worker's thread.
+pub(crate) trait WorkerPart: Send {
+    /// How the worker reaches the model.
+    type Model: ModelAccess;
+    /// The worker's side of the backend's exchange.
+    type Exchange: Exchange<Self::Model>;
+    /// Runs on the worker's own thread, before the start barrier.
+    fn start(self) -> (Self::Model, Self::Exchange);
+}
+
+/// The shared-model backend: every worker holds the same model and
+/// coherence carries the updates, so there is nothing to exchange.
+impl Engine for SharedModel {
+    fn parts<R: Recorder>(&mut self, threads: usize, _recorder: &R) -> Vec<impl WorkerPart> {
+        vec![&*self; threads]
+    }
+
+    fn checkpoint(&self) -> Vec<f32> {
+        self.snapshot()
+    }
+
+    fn restore(&mut self, checkpoint: &[f32]) {
+        self.restore_from(checkpoint);
+    }
+
+    fn model(&self) -> Vec<f32> {
+        self.snapshot()
+    }
+
+    fn publish(&self) -> QuantizedModel {
+        self.snapshot_quantized()
+    }
+}
+
+impl<'a> WorkerPart for &'a SharedModel {
+    type Model = &'a SharedModel;
+    type Exchange = NoExchange;
+
+    fn start(self) -> (Self, NoExchange) {
+        (self, NoExchange)
+    }
+}
 
 impl SgdConfig {
     /// Trains on any [`TrainData`] dataset, quantizing it to the
@@ -752,7 +420,7 @@ impl SgdConfig {
         data: &D,
         recorder: &R,
     ) -> Result<TrainReport, TrainError> {
-        self.train_injected(data, recorder, &NoopInjector)
+        self.train_traced(data, recorder, &NoopInjector, &NoopTracer)
     }
 
     /// Trains under a seeded [`FaultPlan`], collecting telemetry with a
@@ -779,38 +447,19 @@ impl SgdConfig {
     ) -> Result<TrainReport, TrainError> {
         let injector = PlanInjector::new(plan.clone())?;
         let recorder = ShardedRecorder::new(self.threads.max(1));
-        self.train_injected(data, &recorder, &injector)
-    }
-
-    /// Trains like [`SgdConfig::train_with`], threading every iteration
-    /// and shared-model write through the given [`Injector`].
-    ///
-    /// This is the fully general entry point; [`SgdConfig::train_with`]
-    /// is this with [`NoopInjector`] (whose hooks compile away), and
-    /// [`SgdConfig::train_with_faults`] is this with a
-    /// [`PlanInjector`].
-    ///
-    /// # Errors
-    ///
-    /// See [`SgdConfig::train`].
-    pub fn train_injected<D: TrainData, R: Recorder, I: Injector>(
-        &self,
-        data: &D,
-        recorder: &R,
-        injector: &I,
-    ) -> Result<TrainReport, TrainError> {
-        self.train_traced(data, recorder, injector, &NoopTracer)
+        self.train_traced(data, &recorder, &injector, &NoopTracer)
     }
 
     /// The fully general entry point: trains like
-    /// [`SgdConfig::train_injected`] while recording span timelines
+    /// [`SgdConfig::train_with`], threading every iteration and model
+    /// write through the given [`Injector`] and recording span timelines
     /// through the given [`Tracer`].
     ///
     /// Workers mark minibatch / gradient-kernel / model-write / stall
     /// spans; the driver thread marks one epoch span per epoch (on
     /// timeline row `threads`) and a recovery span per checkpoint
-    /// rollback. With [`NoopTracer`] — how every other entry point calls
-    /// this — all instrumentation monomorphizes away.
+    /// rollback. With [`NoopInjector`] and [`NoopTracer`] — how every
+    /// other entry point calls this — all of it monomorphizes away.
     ///
     /// # Errors
     ///
@@ -826,18 +475,43 @@ impl SgdConfig {
         if sealed::Sealed::examples(data) == 0 {
             return Err(TrainError::EmptyDataset);
         }
-        if self.backend == Backend::ShardedDelta {
-            return crate::shard::train_sharded(self, data, recorder, injector, tracer);
-        }
         let precision = ModelPrecision::from_signature(&self.signature).expect("validated above");
-        let weave_before = weave::encodes();
         let prepared = data.prepare(self);
-        let weave_delta = weave::encodes().wrapping_sub(weave_before);
-        if weave_delta > 0 {
-            recorder.counter(metric::WEAVE_ENCODES).add(weave_delta);
-        }
+        let n = data.model_features();
+        Ok(match self.backend {
+            Backend::SharedModel => self.drive(
+                data,
+                &prepared,
+                SharedModel::zeros(precision, n),
+                recorder,
+                injector,
+                tracer,
+            ),
+            Backend::ShardedDelta => self.drive(
+                data,
+                &prepared,
+                ShardEngine::new(precision, self.threads, n, self.delta_every),
+                recorder,
+                injector,
+                tracer,
+            ),
+        })
+    }
+
+    /// The epoch driver both backends run through: per epoch it spawns
+    /// one worker per part behind a start barrier, times the epoch,
+    /// rolls back crashed epochs to the last checkpoint, publishes the
+    /// snapshot, scores the loss, and consults the observer.
+    fn drive<D: TrainData, E: Engine, R: Recorder, I: Injector, T: Tracer>(
+        &self,
+        data: &D,
+        prepared: &Prepared<'_>,
+        mut engine: E,
+        recorder: &R,
+        injector: &I,
+        tracer: &T,
+    ) -> TrainReport {
         let m = sealed::Sealed::examples(data);
-        let model = SharedModel::zeros(precision, data.model_features());
         let mut epoch_losses = Vec::new();
         let epoch_seconds = recorder.histogram(metric::EPOCH_SECONDS);
         let publish_ns = self
@@ -850,7 +524,7 @@ impl SgdConfig {
         // worker dies. PlanInjector consumes each crash on first fire, so a
         // replayed epoch runs through.
         let checkpoint_every = injector.checkpoint_epochs();
-        let mut checkpoint: Option<Vec<f32>> = checkpoint_every.map(|_| model.snapshot());
+        let mut checkpoint: Option<Vec<f32>> = checkpoint_every.map(|_| engine.checkpoint());
         let mut clean_epochs = 0u32;
         let recovery = if I::ACTIVE {
             Some((
@@ -873,41 +547,41 @@ impl SgdConfig {
             // Workers rendezvous here before touching data, and the driver
             // starts the clock only after the release — thread spawn/join
             // overhead stays out of the throughput measurement.
-            let barrier = std::sync::Barrier::new(self.threads + 1);
+            let barrier = Barrier::new(self.threads + 1);
+            let parts = engine.parts(self.threads, recorder);
             std::thread::scope(|s| {
                 let mut handles = Vec::with_capacity(self.threads);
-                for t in 0..self.threads {
-                    let prepared = &prepared;
-                    let model = &model;
+                for (t, part) in parts.into_iter().enumerate() {
                     let barrier = &barrier;
-                    let mut rng = QuantState::new(
-                        &self.quantizer,
-                        self.rounding,
-                        split_seed(self.seed, (epoch * self.threads + t) as u64 + 1),
-                    );
-                    let ctx = WorkerCtx {
-                        model,
+                    let worker = Worker {
                         loss: self.loss,
                         step,
                         minibatch: self.minibatch,
-                        worker: t,
+                        index: t,
                         threads: self.threads,
+                        rng: QuantState::new(
+                            &self.quantizer,
+                            self.rounding,
+                            split_seed(self.seed, (epoch * self.threads + t) as u64 + 1),
+                        ),
+                        counters: WorkerCounters {
+                            iterations: recorder.worker_counter(metric::ITERATIONS, t),
+                            numbers: recorder.worker_counter(metric::NUMBERS_PROCESSED, t),
+                            rounds: recorder.worker_counter(metric::ROUND_EVENTS, t),
+                            chaos: I::ACTIVE.then(|| ChaosCounters {
+                                stalls: recorder.worker_counter(chaos_metric::STALLS, t),
+                                dropped: recorder.worker_counter(chaos_metric::DROPPED_WRITES, t),
+                                stall_ticks: recorder
+                                    .worker_histogram(chaos_metric::STALL_TICKS, t),
+                            }),
+                        },
+                        inj: injector.worker(t, epoch),
+                        tracer: tracer.worker(t),
                     };
-                    let counters = WorkerCounters {
-                        iterations: recorder.worker_counter(metric::ITERATIONS, t),
-                        numbers: recorder.worker_counter(metric::NUMBERS_PROCESSED, t),
-                        rounds: recorder.worker_counter(metric::ROUND_EVENTS, t),
-                        chaos: I::ACTIVE.then(|| ChaosCounters {
-                            stalls: recorder.worker_counter(chaos_metric::STALLS, t),
-                            dropped: recorder.worker_counter(chaos_metric::DROPPED_WRITES, t),
-                            stall_ticks: recorder.worker_histogram(chaos_metric::STALL_TICKS, t),
-                        }),
-                    };
-                    let mut inj = injector.worker(t, epoch);
-                    let mut wtracer = tracer.worker(t);
                     handles.push(s.spawn(move || {
+                        let (mut model, mut exchange) = part.start();
                         barrier.wait();
-                        D::run_worker(prepared, &ctx, &counters, &mut rng, &mut inj, &mut wtracer)
+                        prepared.run_worker(&mut model, &mut exchange, worker)
                     }));
                 }
                 barrier.wait();
@@ -931,7 +605,7 @@ impl SgdConfig {
                             replayed.add(m as u64);
                         }
                         let recovery_span = driver.begin();
-                        model.restore_from(ckpt);
+                        engine.restore(ckpt);
                         driver.end(Phase::ChaosFault, recovery_span, fault_kind::RECOVERY);
                         continue;
                     }
@@ -946,12 +620,12 @@ impl SgdConfig {
                 let publish_start = Instant::now();
                 publish(EpochSnapshot {
                     epoch: epoch as u64,
-                    model: std::sync::Arc::new(model.snapshot_quantized()),
+                    model: std::sync::Arc::new(engine.publish()),
                 });
                 publish_ns.add(publish_start.elapsed().as_nanos() as u64);
             }
             let loss = if self.record_losses {
-                let l = data.mean_loss(self.loss, &model.snapshot());
+                let l = data.mean_loss(self.loss, &engine.model());
                 epoch_losses.push(l);
                 Some(l)
             } else {
@@ -973,7 +647,7 @@ impl SgdConfig {
             if let Some(every) = checkpoint_every {
                 clean_epochs += 1;
                 if clean_epochs >= every.get() {
-                    checkpoint = Some(model.snapshot());
+                    checkpoint = Some(engine.checkpoint());
                     clean_epochs = 0;
                 }
             }
@@ -989,432 +663,19 @@ impl SgdConfig {
                 .gauge(metric::GNPS)
                 .set(numbers as f64 / wall.max(1e-12) / 1e9);
         }
-        Ok(TrainReport {
-            model: model.snapshot(),
+        TrainReport {
+            model: engine.model(),
             epoch_losses,
             metrics: recorder.snapshot(),
-        })
-    }
-}
-
-fn worker_dense_fixed<D: FixedInt, C: Counter, H: Histogram, W: WorkerInjector, T: WorkerTracer>(
-    ctx: &WorkerCtx<'_>,
-    data: &DenseDataset<D>,
-    counters: &WorkerCounters<C, H>,
-    rng: &mut QuantState,
-    inj: &mut W,
-    tracer: &mut T,
-) -> bool {
-    let x_spec = data.spec();
-    let n = data.features();
-    let mut scratch = if ctx.minibatch > 1 {
-        vec![0f32; n]
-    } else {
-        Vec::new()
-    };
-    let mut batch_fill = 0usize;
-    for i in (ctx.worker..data.examples()).step_by(ctx.threads) {
-        if !counters.serve_fate(inj.iter_fate(), tracer) {
-            return true;
-        }
-        let iter_span = tracer.begin();
-        let x = data.example(i);
-        let y = data.label(i);
-        rng.begin_iteration();
-        counters.iterations.incr();
-        counters.numbers.add(n as u64);
-        let kernel_span = tracer.begin();
-        let dot = ctx.model.dot_fixed(x, &x_spec);
-        tracer.end(Phase::GradientKernel, kernel_span, n as u64);
-        let a = ctx.loss.axpy_scale(dot, y, ctx.step);
-        if ctx.minibatch == 1 {
-            if a != 0.0 {
-                if inj.keep_write() {
-                    counters.rounds.add(n as u64);
-                    let write_span = tracer.begin();
-                    match rng.block_offsets() {
-                        Some(offs) => ctx.model.axpy_fixed_block(a, x, &x_spec, &offs),
-                        None => {
-                            let mut off = |j: usize| rng.offset15(j);
-                            ctx.model.axpy_fixed(a, x, &x_spec, &mut off);
-                        }
-                    }
-                    tracer.end(Phase::ModelWrite, write_span, n as u64);
-                } else {
-                    counters.count_dropped();
-                }
-            }
-        } else {
-            if a != 0.0 {
-                let qa = a * x_spec.quantum();
-                for (sj, xj) in scratch.iter_mut().zip(x) {
-                    *sj += qa * xj.widen() as f32;
-                }
-            }
-            batch_fill += 1;
-            if batch_fill == ctx.minibatch {
-                if inj.keep_write() {
-                    counters.rounds.add(n as u64);
-                    let write_span = tracer.begin();
-                    let mut uni = |j: usize| rng.uniform(j);
-                    ctx.model.axpy_f32(1.0, &scratch, &mut uni);
-                    tracer.end(Phase::ModelWrite, write_span, n as u64);
-                } else {
-                    counters.count_dropped();
-                }
-                scratch.fill(0.0);
-                batch_fill = 0;
-            }
-        }
-        tracer.end(Phase::Minibatch, iter_span, i as u64);
-    }
-    if batch_fill > 0 {
-        if inj.keep_write() {
-            counters.rounds.add(n as u64);
-            let write_span = tracer.begin();
-            let mut uni = |j: usize| rng.uniform(j);
-            ctx.model.axpy_f32(1.0, &scratch, &mut uni);
-            tracer.end(Phase::ModelWrite, write_span, n as u64);
-        } else {
-            counters.count_dropped();
         }
     }
-    false
-}
-
-fn worker_dense_weaved<C: Counter, H: Histogram, W: WorkerInjector, T: WorkerTracer>(
-    ctx: &WorkerCtx<'_>,
-    data: &WeavedDense,
-    counters: &WorkerCounters<C, H>,
-    rng: &mut QuantState,
-    inj: &mut W,
-    tracer: &mut T,
-) -> bool {
-    let x_spec = *data.matrix.spec();
-    let bits = x_spec.bits();
-    let n = data.matrix.features();
-    let mut scratch = if ctx.minibatch > 1 {
-        vec![0f32; n]
-    } else {
-        Vec::new()
-    };
-    let mut decoded = [0i32; BLOCK];
-    let mut batch_fill = 0usize;
-    for i in (ctx.worker..data.matrix.rows()).step_by(ctx.threads) {
-        if !counters.serve_fate(inj.iter_fate(), tracer) {
-            return true;
-        }
-        let iter_span = tracer.begin();
-        let x = data.matrix.row(i);
-        let y = data.labels[i];
-        rng.begin_iteration();
-        counters.iterations.incr();
-        counters.numbers.add(n as u64);
-        let kernel_span = tracer.begin();
-        let dot = ctx.model.dot_weaved(x, bits);
-        tracer.end(Phase::GradientKernel, kernel_span, n as u64);
-        let a = ctx.loss.axpy_scale(dot, y, ctx.step);
-        if ctx.minibatch == 1 {
-            if a != 0.0 {
-                if inj.keep_write() {
-                    counters.rounds.add(n as u64);
-                    let write_span = tracer.begin();
-                    match rng.block_offsets() {
-                        Some(offs) => ctx.model.axpy_weaved_block(a, x, bits, &offs),
-                        None => {
-                            let mut off = |j: usize| rng.offset15(j);
-                            ctx.model.axpy_weaved(a, x, bits, &mut off);
-                        }
-                    }
-                    tracer.end(Phase::ModelWrite, write_span, n as u64);
-                } else {
-                    counters.count_dropped();
-                }
-            }
-        } else {
-            if a != 0.0 {
-                let qa = a * x_spec.quantum();
-                for b in 0..x.blocks() {
-                    let filled = x.decode_block(b, bits, &mut decoded);
-                    let base = b * BLOCK;
-                    for (j, &xv) in decoded[..filled].iter().enumerate() {
-                        scratch[base + j] += qa * xv as f32;
-                    }
-                }
-            }
-            batch_fill += 1;
-            if batch_fill == ctx.minibatch {
-                if inj.keep_write() {
-                    counters.rounds.add(n as u64);
-                    let write_span = tracer.begin();
-                    let mut uni = |j: usize| rng.uniform(j);
-                    ctx.model.axpy_f32(1.0, &scratch, &mut uni);
-                    tracer.end(Phase::ModelWrite, write_span, n as u64);
-                } else {
-                    counters.count_dropped();
-                }
-                scratch.fill(0.0);
-                batch_fill = 0;
-            }
-        }
-        tracer.end(Phase::Minibatch, iter_span, i as u64);
-    }
-    if batch_fill > 0 {
-        if inj.keep_write() {
-            counters.rounds.add(n as u64);
-            let write_span = tracer.begin();
-            let mut uni = |j: usize| rng.uniform(j);
-            ctx.model.axpy_f32(1.0, &scratch, &mut uni);
-            tracer.end(Phase::ModelWrite, write_span, n as u64);
-        } else {
-            counters.count_dropped();
-        }
-    }
-    false
-}
-
-fn worker_dense_f32<C: Counter, H: Histogram, W: WorkerInjector, T: WorkerTracer>(
-    ctx: &WorkerCtx<'_>,
-    data: &DenseDataset<f32>,
-    counters: &WorkerCounters<C, H>,
-    rng: &mut QuantState,
-    inj: &mut W,
-    tracer: &mut T,
-) -> bool {
-    let n = data.features();
-    let mut scratch = if ctx.minibatch > 1 {
-        vec![0f32; n]
-    } else {
-        Vec::new()
-    };
-    let mut batch_fill = 0usize;
-    for i in (ctx.worker..data.examples()).step_by(ctx.threads) {
-        if !counters.serve_fate(inj.iter_fate(), tracer) {
-            return true;
-        }
-        let iter_span = tracer.begin();
-        let x = data.example(i);
-        let y = data.label(i);
-        rng.begin_iteration();
-        counters.iterations.incr();
-        counters.numbers.add(n as u64);
-        let kernel_span = tracer.begin();
-        let dot = ctx.model.dot_f32(x);
-        tracer.end(Phase::GradientKernel, kernel_span, n as u64);
-        let a = ctx.loss.axpy_scale(dot, y, ctx.step);
-        if ctx.minibatch == 1 {
-            if a != 0.0 {
-                if inj.keep_write() {
-                    counters.rounds.add(n as u64);
-                    let write_span = tracer.begin();
-                    let mut uni = |j: usize| rng.uniform(j);
-                    ctx.model.axpy_f32(a, x, &mut uni);
-                    tracer.end(Phase::ModelWrite, write_span, n as u64);
-                } else {
-                    counters.count_dropped();
-                }
-            }
-        } else {
-            if a != 0.0 {
-                for (sj, &xj) in scratch.iter_mut().zip(x) {
-                    *sj += a * xj;
-                }
-            }
-            batch_fill += 1;
-            if batch_fill == ctx.minibatch {
-                if inj.keep_write() {
-                    counters.rounds.add(n as u64);
-                    let write_span = tracer.begin();
-                    let mut uni = |j: usize| rng.uniform(j);
-                    ctx.model.axpy_f32(1.0, &scratch, &mut uni);
-                    tracer.end(Phase::ModelWrite, write_span, n as u64);
-                } else {
-                    counters.count_dropped();
-                }
-                scratch.fill(0.0);
-                batch_fill = 0;
-            }
-        }
-        tracer.end(Phase::Minibatch, iter_span, i as u64);
-    }
-    if batch_fill > 0 {
-        if inj.keep_write() {
-            counters.rounds.add(n as u64);
-            let write_span = tracer.begin();
-            let mut uni = |j: usize| rng.uniform(j);
-            ctx.model.axpy_f32(1.0, &scratch, &mut uni);
-            tracer.end(Phase::ModelWrite, write_span, n as u64);
-        } else {
-            counters.count_dropped();
-        }
-    }
-    false
-}
-
-fn worker_sparse_fixed<
-    D: FixedInt,
-    C: Counter,
-    H: Histogram,
-    W: WorkerInjector,
-    T: WorkerTracer,
->(
-    ctx: &WorkerCtx<'_>,
-    data: &SparseDataset<D, u32>,
-    counters: &WorkerCounters<C, H>,
-    rng: &mut QuantState,
-    inj: &mut W,
-    tracer: &mut T,
-) -> bool {
-    let x_spec = data.spec();
-    // Mini-batch handling for sparse data: gradients are computed at the
-    // batch-start model, then all scatter writes are applied. The model is
-    // written per example, but the gradient is a true mini-batch gradient.
-    let mut pending: Vec<(usize, f32)> = Vec::new();
-    for i in (ctx.worker..data.examples()).step_by(ctx.threads) {
-        if !counters.serve_fate(inj.iter_fate(), tracer) {
-            return true;
-        }
-        let iter_span = tracer.begin();
-        let ex = data.example(i);
-        let y = data.label(i);
-        rng.begin_iteration();
-        counters.iterations.incr();
-        counters.numbers.add(ex.nnz() as u64);
-        let kernel_span = tracer.begin();
-        let dot = ctx.model.dot_sparse_fixed(ex.values, ex.indices, &x_spec);
-        tracer.end(Phase::GradientKernel, kernel_span, ex.nnz() as u64);
-        let a = ctx.loss.axpy_scale(dot, y, ctx.step);
-        if ctx.minibatch == 1 {
-            if a != 0.0 {
-                if inj.keep_write() {
-                    counters.rounds.add(ex.nnz() as u64);
-                    let write_span = tracer.begin();
-                    let mut off = |j: usize| rng.offset15(j);
-                    ctx.model
-                        .axpy_sparse_fixed(a, ex.values, ex.indices, &x_spec, &mut off);
-                    tracer.end(Phase::ModelWrite, write_span, ex.nnz() as u64);
-                } else {
-                    counters.count_dropped();
-                }
-            }
-        } else {
-            if a != 0.0 {
-                pending.push((i, a));
-            }
-            if pending.len() >= ctx.minibatch {
-                for &(pi, pa) in &pending {
-                    if !inj.keep_write() {
-                        counters.count_dropped();
-                        continue;
-                    }
-                    let pex = data.example(pi);
-                    counters.rounds.add(pex.nnz() as u64);
-                    let write_span = tracer.begin();
-                    let mut off = |j: usize| rng.offset15(j);
-                    ctx.model
-                        .axpy_sparse_fixed(pa, pex.values, pex.indices, &x_spec, &mut off);
-                    tracer.end(Phase::ModelWrite, write_span, pex.nnz() as u64);
-                }
-                pending.clear();
-            }
-        }
-        tracer.end(Phase::Minibatch, iter_span, i as u64);
-    }
-    for &(pi, pa) in &pending {
-        if !inj.keep_write() {
-            counters.count_dropped();
-            continue;
-        }
-        let pex = data.example(pi);
-        counters.rounds.add(pex.nnz() as u64);
-        let write_span = tracer.begin();
-        let mut off = |j: usize| rng.offset15(j);
-        ctx.model
-            .axpy_sparse_fixed(pa, pex.values, pex.indices, &x_spec, &mut off);
-        tracer.end(Phase::ModelWrite, write_span, pex.nnz() as u64);
-    }
-    false
-}
-
-fn worker_sparse_f32<C: Counter, H: Histogram, W: WorkerInjector, T: WorkerTracer>(
-    ctx: &WorkerCtx<'_>,
-    data: &SparseDataset<f32, u32>,
-    counters: &WorkerCounters<C, H>,
-    rng: &mut QuantState,
-    inj: &mut W,
-    tracer: &mut T,
-) -> bool {
-    let mut pending: Vec<(usize, f32)> = Vec::new();
-    for i in (ctx.worker..data.examples()).step_by(ctx.threads) {
-        if !counters.serve_fate(inj.iter_fate(), tracer) {
-            return true;
-        }
-        let iter_span = tracer.begin();
-        let ex = data.example(i);
-        let y = data.label(i);
-        rng.begin_iteration();
-        counters.iterations.incr();
-        counters.numbers.add(ex.nnz() as u64);
-        let kernel_span = tracer.begin();
-        let dot = ctx.model.dot_sparse_f32(ex.values, ex.indices);
-        tracer.end(Phase::GradientKernel, kernel_span, ex.nnz() as u64);
-        let a = ctx.loss.axpy_scale(dot, y, ctx.step);
-        if ctx.minibatch == 1 {
-            if a != 0.0 {
-                if inj.keep_write() {
-                    counters.rounds.add(ex.nnz() as u64);
-                    let write_span = tracer.begin();
-                    let mut uni = |j: usize| rng.uniform(j);
-                    ctx.model
-                        .axpy_sparse_f32(a, ex.values, ex.indices, &mut uni);
-                    tracer.end(Phase::ModelWrite, write_span, ex.nnz() as u64);
-                } else {
-                    counters.count_dropped();
-                }
-            }
-        } else {
-            if a != 0.0 {
-                pending.push((i, a));
-            }
-            if pending.len() >= ctx.minibatch {
-                for &(pi, pa) in &pending {
-                    if !inj.keep_write() {
-                        counters.count_dropped();
-                        continue;
-                    }
-                    let pex = data.example(pi);
-                    counters.rounds.add(pex.nnz() as u64);
-                    let write_span = tracer.begin();
-                    let mut uni = |j: usize| rng.uniform(j);
-                    ctx.model
-                        .axpy_sparse_f32(pa, pex.values, pex.indices, &mut uni);
-                    tracer.end(Phase::ModelWrite, write_span, pex.nnz() as u64);
-                }
-                pending.clear();
-            }
-        }
-        tracer.end(Phase::Minibatch, iter_span, i as u64);
-    }
-    for &(pi, pa) in &pending {
-        if !inj.keep_write() {
-            counters.count_dropped();
-            continue;
-        }
-        let pex = data.example(pi);
-        counters.rounds.add(pex.nnz() as u64);
-        let write_span = tracer.begin();
-        let mut uni = |j: usize| rng.uniform(j);
-        ctx.model
-            .axpy_sparse_f32(pa, pex.values, pex.indices, &mut uni);
-        tracer.end(Phase::ModelWrite, write_span, pex.nnz() as u64);
-    }
-    false
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use buckwild_dataset::generate;
+    use buckwild_kernels::KernelFlavor;
     use buckwild_telemetry::NoopRecorder;
 
     fn logistic_config() -> SgdConfig {
@@ -1468,11 +729,12 @@ mod tests {
 
     #[test]
     fn bitserial_kernel_is_bit_identical_to_optimized_single_thread() {
-        // 70 features leaves a partial 64-element weave block, exercising
-        // the tail path. The weaved loop decodes the same quantized reprs
-        // the unweaved loop reads directly, so a single-threaded run must
-        // reproduce the default kernel's model exactly — at both dense
-        // fixed precisions and through the minibatch scratch path.
+        // Training arithmetic does not depend on the kernel flavour: a
+        // bit-serial run quantizes the data once and runs the same step as
+        // the optimized one, so a single-threaded run must reproduce the
+        // default kernel's model exactly — at both dense fixed precisions
+        // and through the minibatch scratch path. 70 features is not a
+        // multiple of any kernel block or SIMD width.
         for sig in ["D8M8", "D16M16"] {
             let p = generate::logistic_dense(70, 200, 21);
             let base = || logistic_config().signature(sig.parse().unwrap());
@@ -1527,25 +789,6 @@ mod tests {
             .train(&p.data)
             .unwrap();
         assert!(report.final_loss() < 0.5, "loss {}", report.final_loss());
-    }
-
-    #[test]
-    fn one_weave_encoding_serves_the_whole_run() {
-        // The zero-re-encode property, observed end to end: a BitSerial
-        // run weaves the dataset exactly once, and non-weaved runs carry
-        // no `weave.encodes` metric at all.
-        let p = generate::logistic_dense(32, 120, 23);
-        let weaved = logistic_config()
-            .signature("D8M8".parse().unwrap())
-            .kernel(KernelFlavor::BitSerial)
-            .train(&p.data)
-            .unwrap();
-        assert_eq!(weaved.metrics().counter(metric::WEAVE_ENCODES), Some(1));
-        let plain = logistic_config()
-            .signature("D8M8".parse().unwrap())
-            .train(&p.data)
-            .unwrap();
-        assert_eq!(plain.metrics().counter(metric::WEAVE_ENCODES), None);
     }
 
     #[test]

@@ -54,6 +54,11 @@ pub mod metric {
 /// How often a blocked connection read polls the shutdown flag.
 const POLL_INTERVAL: Duration = Duration::from_millis(50);
 
+/// How long one frame — length prefix and payload — may take to arrive
+/// once its first byte is in. A client that stalls mid-frame loses its
+/// connection after this, so it cannot pin a shard.
+const FRAME_DEADLINE: Duration = Duration::from_secs(10);
+
 /// Server configuration: bind address, shard count, connection cap, and
 /// the optional always-on metrics endpoint.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -332,16 +337,16 @@ fn serve_connection<C: Counter, H: Histogram, W: WorkerTracer>(
     scratch: &mut Scratch,
 ) -> io::Result<()> {
     stream.set_nodelay(true)?;
-    // The timeout bounds how long a quiet connection can delay shutdown;
-    // reads poll the flag at frame boundaries and otherwise retry.
+    // The timeout bounds how long a quiet or stalled connection can delay
+    // shutdown: every read wakes at least once per poll interval.
     stream.set_read_timeout(Some(POLL_INTERVAL))?;
     let mut reader = stream.try_clone()?;
     let mut writer = BufWriter::new(stream);
     loop {
-        let len = match read_frame_len(&mut reader, shutdown) {
+        let (len, deadline) = match read_frame_len(&mut reader, shutdown, FRAME_DEADLINE) {
             FrameStart::Closed => return Ok(()),
             FrameStart::Failed(e) => return Err(e),
-            FrameStart::Len(len) => len,
+            FrameStart::Len(len, deadline) => (len, deadline),
         };
         if len > wire::MAX_FRAME_BYTES {
             return Err(io::Error::new(
@@ -349,7 +354,7 @@ fn serve_connection<C: Counter, H: Histogram, W: WorkerTracer>(
                 "oversized frame",
             ));
         }
-        read_payload(&mut reader, &mut scratch.payload, len)?;
+        read_payload(&mut reader, &mut scratch.payload, len, deadline, shutdown)?;
 
         let start = Instant::now();
         let span_start = span.begin();
@@ -405,15 +410,22 @@ enum FrameStart {
     /// Clean EOF at a frame boundary, or shutdown while idle.
     Closed,
     Failed(io::Error),
-    Len(usize),
+    /// The payload length, and the instant the whole frame is due by.
+    Len(usize, Instant),
 }
 
-/// Reads the 4-byte length prefix, polling the shutdown flag while no
-/// frame is in flight. Once the first byte of a prefix has arrived the
-/// peer is mid-send, so timeouts retry instead of aborting.
-fn read_frame_len(reader: &mut impl Read, shutdown: &AtomicBool) -> FrameStart {
+/// Reads the 4-byte length prefix. While no frame is in flight, a poll
+/// timeout only checks the shutdown flag; once the first byte arrives the
+/// frame must complete by `first byte + frame_deadline`, and shutdown
+/// aborts it.
+fn read_frame_len(
+    reader: &mut impl Read,
+    shutdown: &AtomicBool,
+    frame_deadline: Duration,
+) -> FrameStart {
     let mut len_bytes = [0u8; 4];
     let mut filled = 0usize;
+    let mut deadline = None;
     loop {
         match reader.read(&mut len_bytes[filled..]) {
             Ok(0) if filled == 0 => return FrameStart::Closed,
@@ -425,8 +437,9 @@ fn read_frame_len(reader: &mut impl Read, shutdown: &AtomicBool) -> FrameStart {
             }
             Ok(n) => {
                 filled += n;
+                let due = *deadline.get_or_insert_with(|| Instant::now() + frame_deadline);
                 if filled == 4 {
-                    return FrameStart::Len(u32::from_le_bytes(len_bytes) as usize);
+                    return FrameStart::Len(u32::from_le_bytes(len_bytes) as usize, due);
                 }
             }
             Err(e) if retryable(&e) => {
@@ -436,12 +449,23 @@ fn read_frame_len(reader: &mut impl Read, shutdown: &AtomicBool) -> FrameStart {
             }
             Err(e) => return FrameStart::Failed(e),
         }
+        if let Some(due) = deadline {
+            if let Err(e) = frame_alive(due, shutdown) {
+                return FrameStart::Failed(e);
+            }
+        }
     }
 }
 
-/// Reads exactly `len` payload bytes, retrying poll timeouts (a frame is
-/// committed once its length arrived).
-fn read_payload(reader: &mut impl Read, buf: &mut Vec<u8>, len: usize) -> io::Result<()> {
+/// Reads exactly `len` payload bytes, retrying poll timeouts until the
+/// frame's deadline or shutdown.
+fn read_payload(
+    reader: &mut impl Read,
+    buf: &mut Vec<u8>,
+    len: usize,
+    deadline: Instant,
+    shutdown: &AtomicBool,
+) -> io::Result<()> {
     buf.clear();
     buf.resize(len, 0);
     let mut filled = 0usize;
@@ -457,6 +481,27 @@ fn read_payload(reader: &mut impl Read, buf: &mut Vec<u8>, len: usize) -> io::Re
             Err(e) if retryable(&e) => {}
             Err(e) => return Err(e),
         }
+        if filled < len {
+            frame_alive(deadline, shutdown)?;
+        }
+    }
+    Ok(())
+}
+
+/// Errors out of a frame in flight once shutdown is requested or the
+/// frame's deadline has passed.
+fn frame_alive(deadline: Instant, shutdown: &AtomicBool) -> io::Result<()> {
+    if shutdown.load(Ordering::Relaxed) {
+        return Err(io::Error::new(
+            io::ErrorKind::Interrupted,
+            "server shutting down mid-frame",
+        ));
+    }
+    if Instant::now() >= deadline {
+        return Err(io::Error::new(
+            io::ErrorKind::TimedOut,
+            "frame deadline exceeded",
+        ));
     }
     Ok(())
 }
@@ -466,4 +511,77 @@ fn retryable(e: &io::Error) -> bool {
         e.kind(),
         io::ErrorKind::Interrupted | io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
     )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A peer that sends `bytes` one at a time, then stalls: every later
+    /// read times out.
+    struct Stall(&'static [u8]);
+
+    impl Read for Stall {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            match self.0.split_first() {
+                Some((&b, rest)) => {
+                    buf[0] = b;
+                    self.0 = rest;
+                    Ok(1)
+                }
+                None => Err(io::ErrorKind::WouldBlock.into()),
+            }
+        }
+    }
+
+    fn failed_kind(start: FrameStart) -> io::ErrorKind {
+        match start {
+            FrameStart::Failed(e) => e.kind(),
+            FrameStart::Closed => panic!("frame in flight reported as closed"),
+            FrameStart::Len(len, _) => panic!("stalled prefix produced a length {len}"),
+        }
+    }
+
+    #[test]
+    fn a_frame_stalled_past_its_deadline_is_dropped() {
+        let running = AtomicBool::new(false);
+        let prefix = read_frame_len(&mut Stall(&[1]), &running, Duration::ZERO);
+        assert_eq!(failed_kind(prefix), io::ErrorKind::TimedOut);
+        let payload = read_payload(
+            &mut Stall(&[7]),
+            &mut Vec::new(),
+            4,
+            Instant::now(),
+            &running,
+        );
+        assert_eq!(payload.unwrap_err().kind(), io::ErrorKind::TimedOut);
+    }
+
+    #[test]
+    fn shutdown_aborts_a_frame_in_flight_and_closes_an_idle_one() {
+        let stopping = AtomicBool::new(true);
+        let prefix = read_frame_len(&mut Stall(&[1, 0]), &stopping, FRAME_DEADLINE);
+        assert_eq!(failed_kind(prefix), io::ErrorKind::Interrupted);
+        let due = Instant::now() + FRAME_DEADLINE;
+        let payload = read_payload(&mut Stall(&[7]), &mut Vec::new(), 4, due, &stopping);
+        assert_eq!(payload.unwrap_err().kind(), io::ErrorKind::Interrupted);
+        let idle = read_frame_len(&mut Stall(&[]), &stopping, FRAME_DEADLINE);
+        assert!(matches!(idle, FrameStart::Closed));
+    }
+
+    #[test]
+    fn a_frame_within_its_deadline_is_read_whole() {
+        let running = AtomicBool::new(false);
+        let mut peer = Stall(&[3, 0, 0, 0, 9, 8, 7]);
+        let len = match read_frame_len(&mut peer, &running, FRAME_DEADLINE) {
+            FrameStart::Len(len, due) => {
+                let mut buf = Vec::new();
+                read_payload(&mut peer, &mut buf, len, due, &running).expect("payload");
+                assert_eq!(buf, [9, 8, 7]);
+                len
+            }
+            _ => panic!("complete prefix not read"),
+        };
+        assert_eq!(len, 3);
+    }
 }
