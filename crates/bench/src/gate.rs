@@ -630,6 +630,7 @@ mod tests {
 
     #[test]
     fn kernels_gate_measures_every_row_and_round_trips_json() {
+        let _isa = crate::isa_test_lock();
         let report = run_kernels_gate(0.005, 2);
         let names: Vec<_> = report.benches.iter().map(|b| b.name.as_str()).collect();
         for expected in [

@@ -648,6 +648,16 @@ pub fn banner(id: &str, title: &str) {
     println!("==============================================================");
 }
 
+/// Serializes the lib tests that pin the kernel ISA with `isa::scoped`:
+/// the override is process-global, so a test that runs while another
+/// holds it would measure, or read back, the other test's tier.
+#[cfg(test)]
+pub(crate) fn isa_test_lock() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    LOCK.lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

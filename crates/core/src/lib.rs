@@ -77,6 +77,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod access;
 mod arena;
 pub mod chaos;
 mod config;

@@ -10,27 +10,14 @@
 //! store) is preserved because we deliberately use separate load/store
 //! pairs rather than `fetch_add`.
 
-use std::sync::atomic::{AtomicI16, AtomicI8, AtomicU32, Ordering};
+use std::sync::atomic::{AtomicI16, AtomicI8, AtomicU32};
 
 use buckwild_dmgc::Signature;
 use buckwild_fixed::FixedSpec;
 use buckwild_kernels::optimized::FixedInt;
 
+use crate::access::{by_precision, Dense, Load, ModelAccess, Store, Words};
 use crate::predict::{FixedWords, QuantizedModel};
-use crate::step::ModelAccess;
-
-/// Fraction bits of the fixed-point AXPY step scale.
-pub(crate) const K_SHIFT: u32 = 15;
-
-/// The AXPY step `a` rescaled from the data grid onto the model grid, in
-/// `K_SHIFT` fraction bits: `round(a · q_x / q_w · 2^15)`, saturated to
-/// `i32`.
-pub(crate) fn fixed_step(a: f32, x_spec: &FixedSpec, model_spec: &FixedSpec) -> i64 {
-    let k_real = a as f64 * x_spec.quantum() as f64 / model_spec.quantum() as f64;
-    (k_real * (1i64 << K_SHIFT) as f64)
-        .round()
-        .clamp(i32::MIN as f64, i32::MAX as f64) as i64
-}
 
 /// Storage precision of the shared model — the `M` term of the signature.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -84,12 +71,6 @@ impl ModelPrecision {
     }
 }
 
-enum Storage {
-    F32(Vec<AtomicU32>),
-    I16(Vec<AtomicI16>),
-    I8(Vec<AtomicI8>),
-}
-
 /// A shared, lock-free model vector at a chosen storage precision.
 ///
 /// All access is through `&self`; workers on other threads hold the same
@@ -107,7 +88,7 @@ enum Storage {
 /// assert_eq!(w.snapshot(), vec![0.0, 0.0, 0.5, 0.0]);
 /// ```
 pub struct SharedModel {
-    storage: Storage,
+    storage: Words<Vec<AtomicI8>, Vec<AtomicI16>, Vec<AtomicU32>>,
     spec: FixedSpec,
     precision: ModelPrecision,
 }
@@ -132,10 +113,10 @@ impl SharedModel {
         assert!(n > 0, "model size must be positive");
         let storage = match precision {
             ModelPrecision::F32 => {
-                Storage::F32((0..n).map(|_| AtomicU32::new(0f32.to_bits())).collect())
+                Words::F32((0..n).map(|_| AtomicU32::new(0f32.to_bits())).collect())
             }
-            ModelPrecision::I16 => Storage::I16((0..n).map(|_| AtomicI16::new(0)).collect()),
-            ModelPrecision::I8 => Storage::I8((0..n).map(|_| AtomicI8::new(0)).collect()),
+            ModelPrecision::I16 => Words::I16((0..n).map(|_| AtomicI16::new(0)).collect()),
+            ModelPrecision::I8 => Words::I8((0..n).map(|_| AtomicI8::new(0)).collect()),
         };
         SharedModel {
             storage,
@@ -152,9 +133,7 @@ impl SharedModel {
     #[must_use]
     pub fn from_f32(precision: ModelPrecision, values: &[f32]) -> Self {
         let model = SharedModel::zeros(precision, values.len());
-        for (i, &v) in values.iter().enumerate() {
-            model.write_rounded(i, v, 0.5);
-        }
+        model.restore_from(values);
         model
     }
 
@@ -165,20 +144,13 @@ impl SharedModel {
     ///
     /// Panics if `values.len() != self.len()`.
     pub fn restore_from(&self, values: &[f32]) {
-        assert_eq!(values.len(), self.len(), "checkpoint length mismatch");
-        for (i, &v) in values.iter().enumerate() {
-            self.write_rounded(i, v, 0.5);
-        }
+        ModelAccess::restore_from(&mut &*self, values);
     }
 
     /// Number of parameters.
     #[must_use]
     pub fn len(&self) -> usize {
-        match &self.storage {
-            Storage::F32(v) => v.len(),
-            Storage::I16(v) => v.len(),
-            Storage::I8(v) => v.len(),
-        }
+        self.view().len()
     }
 
     /// True if the model has no parameters (never constructible).
@@ -206,11 +178,14 @@ impl SharedModel {
     /// Panics if `i >= len()`.
     #[must_use]
     pub fn read(&self, i: usize) -> f32 {
-        match &self.storage {
-            Storage::F32(v) => f32::from_bits(v[i].load(Ordering::Relaxed)),
-            Storage::I16(v) => self.spec.dequantize(v[i].load(Ordering::Relaxed) as i64),
-            Storage::I8(v) => self.spec.dequantize(v[i].load(Ordering::Relaxed) as i64),
-        }
+        by_precision!(
+            self.view(),
+            |w| {
+                let word = w.load(i).widen();
+                self.spec.dequantize(word.into())
+            },
+            |w| w.load(i)
+        )
     }
 
     /// Writes parameter `i`, quantizing with the uniform sample `u` when
@@ -221,21 +196,7 @@ impl SharedModel {
     ///
     /// Panics if `i >= len()`.
     pub fn write_rounded(&self, i: usize, value: f32, u: f32) {
-        match &self.storage {
-            Storage::F32(v) => v[i].store(value.to_bits(), Ordering::Relaxed),
-            Storage::I16(v) => {
-                v[i].store(
-                    self.spec.quantize_unbiased(value, u) as i16,
-                    Ordering::Relaxed,
-                );
-            }
-            Storage::I8(v) => {
-                v[i].store(
-                    self.spec.quantize_unbiased(value, u) as i8,
-                    Ordering::Relaxed,
-                );
-            }
-        }
+        self.view().write_rounded(i, value, u, &self.spec);
     }
 
     /// Copies the model out in its storage representation: the raw
@@ -247,16 +208,10 @@ impl SharedModel {
     /// dequantized copy: an 8-bit model stays 8 bits.
     #[must_use]
     pub fn snapshot_quantized(&self) -> QuantizedModel {
-        let words = match &self.storage {
-            Storage::F32(v) => FixedWords::F32(
-                v.iter()
-                    .map(|w| f32::from_bits(w.load(Ordering::Relaxed)))
-                    .collect(),
-            ),
-            Storage::I16(v) => {
-                FixedWords::I16(v.iter().map(|w| w.load(Ordering::Relaxed)).collect())
-            }
-            Storage::I8(v) => FixedWords::I8(v.iter().map(|w| w.load(Ordering::Relaxed)).collect()),
+        let words = match self.view() {
+            Words::F32(w) => FixedWords::F32((0..w.len()).map(|i| w.load(i)).collect()),
+            Words::I16(w) => FixedWords::I16((0..w.len()).map(|i| w.load(i)).collect()),
+            Words::I8(w) => FixedWords::I8((0..w.len()).map(|i| w.load(i)).collect()),
         };
         QuantizedModel::new(words, self.spec)
     }
@@ -276,30 +231,7 @@ impl SharedModel {
     /// Panics if `x.len() != len()`.
     #[must_use]
     pub fn dot_fixed<D: FixedInt>(&self, x: &[D], x_spec: &FixedSpec) -> f32 {
-        assert_eq!(x.len(), self.len(), "length mismatch");
-        match &self.storage {
-            Storage::I8(w) => {
-                let mut total = 0i64;
-                for (xi, wi) in x.iter().zip(w) {
-                    total += (xi.widen() * wi.load(Ordering::Relaxed) as i32) as i64;
-                }
-                total as f32 * x_spec.quantum() * self.spec.quantum()
-            }
-            Storage::I16(w) => {
-                let mut total = 0i64;
-                for (xi, wi) in x.iter().zip(w) {
-                    total += (xi.widen() * wi.load(Ordering::Relaxed) as i32) as i64;
-                }
-                total as f32 * x_spec.quantum() * self.spec.quantum()
-            }
-            Storage::F32(w) => {
-                let mut acc = 0f32;
-                for (xi, wi) in x.iter().zip(w) {
-                    acc += xi.widen() as f32 * f32::from_bits(wi.load(Ordering::Relaxed));
-                }
-                acc * x_spec.quantum()
-            }
-        }
+        ModelAccess::dot_fixed(&self, x, Dense, x_spec)
     }
 
     /// Dense dot against a float example.
@@ -309,30 +241,7 @@ impl SharedModel {
     /// Panics if `x.len() != len()`.
     #[must_use]
     pub fn dot_f32(&self, x: &[f32]) -> f32 {
-        assert_eq!(x.len(), self.len(), "length mismatch");
-        match &self.storage {
-            Storage::F32(w) => {
-                let mut acc = 0f32;
-                for (xi, wi) in x.iter().zip(w) {
-                    acc += xi * f32::from_bits(wi.load(Ordering::Relaxed));
-                }
-                acc
-            }
-            Storage::I16(w) => {
-                let mut acc = 0f32;
-                for (xi, wi) in x.iter().zip(w) {
-                    acc += xi * wi.load(Ordering::Relaxed) as f32;
-                }
-                acc * self.spec.quantum()
-            }
-            Storage::I8(w) => {
-                let mut acc = 0f32;
-                for (xi, wi) in x.iter().zip(w) {
-                    acc += xi * wi.load(Ordering::Relaxed) as f32;
-                }
-                acc * self.spec.quantum()
-            }
-        }
+        ModelAccess::dot_f32(&self, x, Dense)
     }
 
     /// Sparse dot: `Σ_j x_val[j]·w[x_idx[j]]` with fixed-point values.
@@ -347,30 +256,7 @@ impl SharedModel {
         indices: &[u32],
         x_spec: &FixedSpec,
     ) -> f32 {
-        assert_eq!(values.len(), indices.len(), "values/indices mismatch");
-        match &self.storage {
-            Storage::I8(w) => {
-                let mut total = 0i64;
-                for (v, &i) in values.iter().zip(indices) {
-                    total += (v.widen() * w[i as usize].load(Ordering::Relaxed) as i32) as i64;
-                }
-                total as f32 * x_spec.quantum() * self.spec.quantum()
-            }
-            Storage::I16(w) => {
-                let mut total = 0i64;
-                for (v, &i) in values.iter().zip(indices) {
-                    total += (v.widen() * w[i as usize].load(Ordering::Relaxed) as i32) as i64;
-                }
-                total as f32 * x_spec.quantum() * self.spec.quantum()
-            }
-            Storage::F32(w) => {
-                let mut acc = 0f32;
-                for (v, &i) in values.iter().zip(indices) {
-                    acc += v.widen() as f32 * f32::from_bits(w[i as usize].load(Ordering::Relaxed));
-                }
-                acc * x_spec.quantum()
-            }
-        }
+        ModelAccess::dot_fixed(&self, values, indices, x_spec)
     }
 
     /// Sparse dot with float values.
@@ -380,30 +266,7 @@ impl SharedModel {
     /// Panics if lengths mismatch or any index is out of range.
     #[must_use]
     pub fn dot_sparse_f32(&self, values: &[f32], indices: &[u32]) -> f32 {
-        assert_eq!(values.len(), indices.len(), "values/indices mismatch");
-        match &self.storage {
-            Storage::F32(w) => {
-                let mut acc = 0f32;
-                for (v, &i) in values.iter().zip(indices) {
-                    acc += v * f32::from_bits(w[i as usize].load(Ordering::Relaxed));
-                }
-                acc
-            }
-            Storage::I16(w) => {
-                let mut acc = 0f32;
-                for (v, &i) in values.iter().zip(indices) {
-                    acc += v * w[i as usize].load(Ordering::Relaxed) as f32;
-                }
-                acc * self.spec.quantum()
-            }
-            Storage::I8(w) => {
-                let mut acc = 0f32;
-                for (v, &i) in values.iter().zip(indices) {
-                    acc += v * w[i as usize].load(Ordering::Relaxed) as f32;
-                }
-                acc * self.spec.quantum()
-            }
-        }
+        ModelAccess::dot_f32(&self, values, indices)
     }
 
     /// Dense quantized AXPY `w[i] ← sat(w[i] + round(a·x[i]))`, where
@@ -424,34 +287,9 @@ impl SharedModel {
         a: f32,
         x: &[D],
         x_spec: &FixedSpec,
-        mut offsets: impl FnMut(usize) -> i64,
+        offsets: impl FnMut(usize) -> i64,
     ) {
-        assert_eq!(x.len(), self.len(), "length mismatch");
-        let k = fixed_step(a, x_spec, &self.spec);
-        match &self.storage {
-            Storage::I8(w) => {
-                for (i, (xi, wi)) in x.iter().zip(w).enumerate() {
-                    let delta = (xi.widen() as i64 * k + offsets(i)) >> K_SHIFT;
-                    let updated = (wi.load(Ordering::Relaxed) as i64 + delta).clamp(-128, 127);
-                    wi.store(updated as i8, Ordering::Relaxed);
-                }
-            }
-            Storage::I16(w) => {
-                for (i, (xi, wi)) in x.iter().zip(w).enumerate() {
-                    let delta = (xi.widen() as i64 * k + offsets(i)) >> K_SHIFT;
-                    let updated = (wi.load(Ordering::Relaxed) as i64 + delta).clamp(-32768, 32767);
-                    wi.store(updated as i16, Ordering::Relaxed);
-                }
-            }
-            Storage::F32(w) => {
-                let scale = a * x_spec.quantum();
-                for (xi, wi) in x.iter().zip(w) {
-                    let updated =
-                        f32::from_bits(wi.load(Ordering::Relaxed)) + scale * xi.widen() as f32;
-                    wi.store(updated.to_bits(), Ordering::Relaxed);
-                }
-            }
-        }
+        ModelAccess::axpy_fixed(&mut &*self, a, x, Dense, x_spec, offsets);
     }
 
     /// Dense AXPY with float example data; fixed storage quantizes with
@@ -460,34 +298,8 @@ impl SharedModel {
     /// # Panics
     ///
     /// Panics if `x.len() != len()`.
-    pub fn axpy_f32(&self, a: f32, x: &[f32], mut uniforms: impl FnMut(usize) -> f32) {
-        assert_eq!(x.len(), self.len(), "length mismatch");
-        match &self.storage {
-            Storage::F32(w) => {
-                for (xi, wi) in x.iter().zip(w) {
-                    let updated = f32::from_bits(wi.load(Ordering::Relaxed)) + a * xi;
-                    wi.store(updated.to_bits(), Ordering::Relaxed);
-                }
-            }
-            Storage::I16(w) => {
-                let scale = a / self.spec.quantum();
-                for (i, (xi, wi)) in x.iter().zip(w).enumerate() {
-                    let target = wi.load(Ordering::Relaxed) as f64 + (scale * xi) as f64;
-                    let grid = (target + uniforms(i) as f64)
-                        .floor()
-                        .clamp(-32768.0, 32767.0);
-                    wi.store(grid as i16, Ordering::Relaxed);
-                }
-            }
-            Storage::I8(w) => {
-                let scale = a / self.spec.quantum();
-                for (i, (xi, wi)) in x.iter().zip(w).enumerate() {
-                    let target = wi.load(Ordering::Relaxed) as f64 + (scale * xi) as f64;
-                    let grid = (target + uniforms(i) as f64).floor().clamp(-128.0, 127.0);
-                    wi.store(grid as i8, Ordering::Relaxed);
-                }
-            }
-        }
+    pub fn axpy_f32(&self, a: f32, x: &[f32], uniforms: impl FnMut(usize) -> f32) {
+        ModelAccess::axpy_f32(&mut &*self, a, x, Dense, uniforms);
     }
 
     /// Sparse quantized AXPY over the indexed coordinates only.
@@ -501,38 +313,9 @@ impl SharedModel {
         values: &[D],
         indices: &[u32],
         x_spec: &FixedSpec,
-        mut offsets: impl FnMut(usize) -> i64,
+        offsets: impl FnMut(usize) -> i64,
     ) {
-        assert_eq!(values.len(), indices.len(), "values/indices mismatch");
-        let k = fixed_step(a, x_spec, &self.spec);
-        match &self.storage {
-            Storage::I8(w) => {
-                for (j, (v, &i)) in values.iter().zip(indices).enumerate() {
-                    let slot = &w[i as usize];
-                    let delta = (v.widen() as i64 * k + offsets(j)) >> K_SHIFT;
-                    let updated = (slot.load(Ordering::Relaxed) as i64 + delta).clamp(-128, 127);
-                    slot.store(updated as i8, Ordering::Relaxed);
-                }
-            }
-            Storage::I16(w) => {
-                for (j, (v, &i)) in values.iter().zip(indices).enumerate() {
-                    let slot = &w[i as usize];
-                    let delta = (v.widen() as i64 * k + offsets(j)) >> K_SHIFT;
-                    let updated =
-                        (slot.load(Ordering::Relaxed) as i64 + delta).clamp(-32768, 32767);
-                    slot.store(updated as i16, Ordering::Relaxed);
-                }
-            }
-            Storage::F32(w) => {
-                let scale = a * x_spec.quantum();
-                for (v, &i) in values.iter().zip(indices) {
-                    let slot = &w[i as usize];
-                    let updated =
-                        f32::from_bits(slot.load(Ordering::Relaxed)) + scale * v.widen() as f32;
-                    slot.store(updated.to_bits(), Ordering::Relaxed);
-                }
-            }
-        }
+        ModelAccess::axpy_fixed(&mut &*self, a, values, indices, x_spec, offsets);
     }
 
     /// Sparse AXPY with float values.
@@ -545,37 +328,18 @@ impl SharedModel {
         a: f32,
         values: &[f32],
         indices: &[u32],
-        mut uniforms: impl FnMut(usize) -> f32,
+        uniforms: impl FnMut(usize) -> f32,
     ) {
-        assert_eq!(values.len(), indices.len(), "values/indices mismatch");
+        ModelAccess::axpy_f32(&mut &*self, a, values, indices, uniforms);
+    }
+
+    /// The words as relaxed-atomic slices.
+    #[inline]
+    fn view(&self) -> Words<&[AtomicI8], &[AtomicI16], &[AtomicU32]> {
         match &self.storage {
-            Storage::F32(w) => {
-                for (v, &i) in values.iter().zip(indices) {
-                    let slot = &w[i as usize];
-                    let updated = f32::from_bits(slot.load(Ordering::Relaxed)) + a * v;
-                    slot.store(updated.to_bits(), Ordering::Relaxed);
-                }
-            }
-            Storage::I16(w) => {
-                let scale = a / self.spec.quantum();
-                for (j, (v, &i)) in values.iter().zip(indices).enumerate() {
-                    let slot = &w[i as usize];
-                    let target = slot.load(Ordering::Relaxed) as f64 + (scale * v) as f64;
-                    let grid = (target + uniforms(j) as f64)
-                        .floor()
-                        .clamp(-32768.0, 32767.0);
-                    slot.store(grid as i16, Ordering::Relaxed);
-                }
-            }
-            Storage::I8(w) => {
-                let scale = a / self.spec.quantum();
-                for (j, (v, &i)) in values.iter().zip(indices).enumerate() {
-                    let slot = &w[i as usize];
-                    let target = slot.load(Ordering::Relaxed) as f64 + (scale * v) as f64;
-                    let grid = (target + uniforms(j) as f64).floor().clamp(-128.0, 127.0);
-                    slot.store(grid as i8, Ordering::Relaxed);
-                }
-            }
+            Words::I8(w) => Words::I8(w),
+            Words::I16(w) => Words::I16(w),
+            Words::F32(w) => Words::F32(w),
         }
     }
 }
@@ -583,60 +347,21 @@ impl SharedModel {
 /// The training step's view of the shared model: every worker holds the
 /// same `&SharedModel`, and writes go through relaxed atomics.
 impl ModelAccess for &SharedModel {
-    fn dot_fixed<D: FixedInt>(&self, x: &[D], x_spec: &FixedSpec) -> f32 {
-        SharedModel::dot_fixed(self, x, x_spec)
+    #[inline]
+    fn spec(&self) -> FixedSpec {
+        self.spec
     }
 
-    fn dot_f32(&self, x: &[f32]) -> f32 {
-        SharedModel::dot_f32(self, x)
+    #[inline]
+    fn words(&self) -> Words<impl Load<Word = i8>, impl Load<Word = i16>, impl Load<Word = f32>> {
+        self.view()
     }
 
-    fn dot_sparse_fixed<D: FixedInt>(
-        &self,
-        values: &[D],
-        indices: &[u32],
-        x_spec: &FixedSpec,
-    ) -> f32 {
-        SharedModel::dot_sparse_fixed(self, values, indices, x_spec)
-    }
-
-    fn dot_sparse_f32(&self, values: &[f32], indices: &[u32]) -> f32 {
-        SharedModel::dot_sparse_f32(self, values, indices)
-    }
-
-    fn axpy_fixed<D: FixedInt>(
+    #[inline]
+    fn words_mut(
         &mut self,
-        a: f32,
-        x: &[D],
-        x_spec: &FixedSpec,
-        offsets: impl FnMut(usize) -> i64,
-    ) {
-        SharedModel::axpy_fixed(self, a, x, x_spec, offsets);
-    }
-
-    fn axpy_f32(&mut self, a: f32, x: &[f32], uniforms: impl FnMut(usize) -> f32) {
-        SharedModel::axpy_f32(self, a, x, uniforms);
-    }
-
-    fn axpy_sparse_fixed<D: FixedInt>(
-        &mut self,
-        a: f32,
-        values: &[D],
-        indices: &[u32],
-        x_spec: &FixedSpec,
-        offsets: impl FnMut(usize) -> i64,
-    ) {
-        SharedModel::axpy_sparse_fixed(self, a, values, indices, x_spec, offsets);
-    }
-
-    fn axpy_sparse_f32(
-        &mut self,
-        a: f32,
-        values: &[f32],
-        indices: &[u32],
-        uniforms: impl FnMut(usize) -> f32,
-    ) {
-        SharedModel::axpy_sparse_f32(self, a, values, indices, uniforms);
+    ) -> Words<impl Store<Word = i8>, impl Store<Word = i16>, impl Store<Word = f32>> {
+        self.view()
     }
 }
 

@@ -19,13 +19,14 @@ use std::num::NonZeroU32;
 
 use buckwild_chaos::{IterFate, WorkerInjector};
 use buckwild_dataset::{DenseDataset, Label, SparseDataset};
-use buckwild_fixed::{FixedSpec, Rounding};
+use buckwild_fixed::Rounding;
 use buckwild_kernels::cost::QuantizerKind;
 use buckwild_kernels::optimized::FixedInt;
 use buckwild_prng::{Mt19937, Prng, XorshiftLanes};
 use buckwild_telemetry::{Counter, Histogram};
 use buckwild_trace::{fault_kind, Phase, WorkerTracer};
 
+use crate::access::{Dense, ModelAccess};
 use crate::config::QuantizerConfig;
 use crate::Loss;
 
@@ -182,57 +183,6 @@ impl QuantState {
     }
 }
 
-/// How the step reads and writes a model: the shared atomic model
-/// (`&SharedModel`) or one worker's private replica (`LocalModel`).
-///
-/// Both implementations use the same widening, the same `K_SHIFT = 15`
-/// fixed-point step scaling, the same saturation bounds, and the same
-/// `f64` float-grid rounding, so they agree bit for bit.
-pub(crate) trait ModelAccess {
-    /// Dense dot against a fixed-point row (integer MAC).
-    fn dot_fixed<D: FixedInt>(&self, x: &[D], x_spec: &FixedSpec) -> f32;
-    /// Dense dot against an `f32` row.
-    fn dot_f32(&self, x: &[f32]) -> f32;
-    /// Sparse dot with fixed-point values.
-    fn dot_sparse_fixed<D: FixedInt>(
-        &self,
-        values: &[D],
-        indices: &[u32],
-        x_spec: &FixedSpec,
-    ) -> f32;
-    /// Sparse dot with `f32` values.
-    fn dot_sparse_f32(&self, values: &[f32], indices: &[u32]) -> f32;
-    /// Dense quantized AXPY with a rounding offset in `[0, 2^15)` per
-    /// element.
-    fn axpy_fixed<D: FixedInt>(
-        &mut self,
-        a: f32,
-        x: &[D],
-        x_spec: &FixedSpec,
-        offsets: impl FnMut(usize) -> i64,
-    );
-    /// Dense AXPY with `f32` data, rounding fixed storage with a uniform
-    /// sample in `[0, 1)` per element.
-    fn axpy_f32(&mut self, a: f32, x: &[f32], uniforms: impl FnMut(usize) -> f32);
-    /// Sparse quantized AXPY over the indexed coordinates only.
-    fn axpy_sparse_fixed<D: FixedInt>(
-        &mut self,
-        a: f32,
-        values: &[D],
-        indices: &[u32],
-        x_spec: &FixedSpec,
-        offsets: impl FnMut(usize) -> i64,
-    );
-    /// Sparse AXPY with `f32` values.
-    fn axpy_sparse_f32(
-        &mut self,
-        a: f32,
-        values: &[f32],
-        indices: &[u32],
-        uniforms: impl FnMut(usize) -> f32,
-    );
-}
-
 /// A prepared dataset the step iterates over, one row per SGD iteration.
 ///
 /// Implemented for dense and sparse data at the fixed-point precisions
@@ -277,14 +227,14 @@ impl<D: FixedInt> Rows for DenseDataset<D> {
     }
 
     fn dot<M: ModelAccess>(&self, model: &M, i: usize) -> f32 {
-        model.dot_fixed(self.example(i), &self.spec())
+        model.dot_dense_fixed(self.example(i), &self.spec())
     }
 
     fn axpy<M: ModelAccess>(&self, model: &mut M, i: usize, a: f32, rng: &mut QuantState) {
         let (x, spec) = (self.example(i), self.spec());
         match rng.block_offsets() {
-            Some(offs) => model.axpy_fixed(a, x, &spec, |j| offs[j & 7]),
-            None => model.axpy_fixed(a, x, &spec, |j| rng.offset15(j)),
+            Some(offs) => model.axpy_fixed(a, x, Dense, &spec, |j| offs[j & 7]),
+            None => model.axpy_fixed(a, x, Dense, &spec, |j| rng.offset15(j)),
         }
     }
 
@@ -312,11 +262,11 @@ impl Rows for &DenseDataset<f32> {
     }
 
     fn dot<M: ModelAccess>(&self, model: &M, i: usize) -> f32 {
-        model.dot_f32(self.example(i))
+        model.dot_f32(self.example(i), Dense)
     }
 
     fn axpy<M: ModelAccess>(&self, model: &mut M, i: usize, a: f32, rng: &mut QuantState) {
-        model.axpy_f32(a, self.example(i), |j| rng.uniform(j));
+        model.axpy_f32(a, self.example(i), Dense, |j| rng.uniform(j));
     }
 
     fn accumulate(&self, i: usize, a: f32, sum: &mut [f32]) {
@@ -343,12 +293,12 @@ impl<D: FixedInt> Rows for SparseDataset<D, u32> {
 
     fn dot<M: ModelAccess>(&self, model: &M, i: usize) -> f32 {
         let ex = self.example(i);
-        model.dot_sparse_fixed(ex.values, ex.indices, &self.spec())
+        model.dot_fixed(ex.values, ex.indices, &self.spec())
     }
 
     fn axpy<M: ModelAccess>(&self, model: &mut M, i: usize, a: f32, rng: &mut QuantState) {
         let ex = self.example(i);
-        model.axpy_sparse_fixed(a, ex.values, ex.indices, &self.spec(), |j| rng.offset15(j));
+        model.axpy_fixed(a, ex.values, ex.indices, &self.spec(), |j| rng.offset15(j));
     }
 }
 
@@ -369,12 +319,12 @@ impl Rows for &SparseDataset<f32, u32> {
 
     fn dot<M: ModelAccess>(&self, model: &M, i: usize) -> f32 {
         let ex = self.example(i);
-        model.dot_sparse_f32(ex.values, ex.indices)
+        model.dot_f32(ex.values, ex.indices)
     }
 
     fn axpy<M: ModelAccess>(&self, model: &mut M, i: usize, a: f32, rng: &mut QuantState) {
         let ex = self.example(i);
-        model.axpy_sparse_f32(a, ex.values, ex.indices, |j| rng.uniform(j));
+        model.axpy_f32(a, ex.values, ex.indices, |j| rng.uniform(j));
     }
 }
 
@@ -553,7 +503,7 @@ impl<C: Counter, H: Histogram, W: WorkerInjector, T: WorkerTracer> Worker<C, H, 
         if R::SUMMED {
             let sum = &batch.sum;
             self.write(sum.len(), model, |m, rng| {
-                m.axpy_f32(1.0, sum, |j| rng.uniform(j));
+                m.axpy_f32(1.0, sum, Dense, |j| rng.uniform(j));
             });
             batch.sum.fill(0.0);
         } else {

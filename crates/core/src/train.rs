@@ -20,12 +20,11 @@ use buckwild_prng::split_seed;
 use buckwild_telemetry::{Counter, Gauge, Histogram, MetricsSnapshot, Recorder, ShardedRecorder};
 use buckwild_trace::{fault_kind, NoopTracer, Phase, Tracer, WorkerTracer};
 
+use crate::access::ModelAccess;
 use crate::config::Backend;
 use crate::predict::{EpochSnapshot, QuantizedModel};
 use crate::shard::ShardEngine;
-use crate::step::{
-    ChaosCounters, Exchange, ModelAccess, NoExchange, QuantState, Worker, WorkerCounters,
-};
+use crate::step::{ChaosCounters, Exchange, NoExchange, QuantState, Worker, WorkerCounters};
 use crate::{metrics, ConfigError, Loss, ModelPrecision, SgdConfig, SharedModel};
 
 /// Replay attempts per epoch before the engine gives up on recovery and

@@ -466,26 +466,10 @@ fn read_payload(
     deadline: Instant,
     shutdown: &AtomicBool,
 ) -> io::Result<()> {
-    buf.clear();
-    buf.resize(len, 0);
-    let mut filled = 0usize;
-    while filled < len {
-        match reader.read(&mut buf[filled..]) {
-            Ok(0) => {
-                return Err(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "stream ended inside a frame payload",
-                ))
-            }
-            Ok(n) => filled += n,
-            Err(e) if retryable(&e) => {}
-            Err(e) => return Err(e),
-        }
-        if filled < len {
-            frame_alive(deadline, shutdown)?;
-        }
-    }
-    Ok(())
+    wire::read_payload(reader, buf, len, |err| match err {
+        Some(e) if !retryable(&e) => Err(e),
+        _ => frame_alive(deadline, shutdown),
+    })
 }
 
 /// Errors out of a frame in flight once shutdown is requested or the
@@ -583,5 +567,17 @@ mod tests {
             _ => panic!("complete prefix not read"),
         };
         assert_eq!(len, 3);
+    }
+
+    #[test]
+    fn a_hostile_length_prefix_leaves_no_large_buffer_on_the_shard() {
+        let running = AtomicBool::new(false);
+        let due = Instant::now() + FRAME_DEADLINE;
+        let mut peer = io::Cursor::new([7u8; 10]);
+        let mut buf = Vec::new();
+        let err = read_payload(&mut peer, &mut buf, wire::MAX_FRAME_BYTES, due, &running)
+            .expect_err("peer hung up mid-payload");
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+        assert!(buf.capacity() <= 1 << 20, "{}", buf.capacity());
     }
 }

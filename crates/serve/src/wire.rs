@@ -35,6 +35,10 @@ pub const PROTOCOL_VERSION: u8 = 1;
 /// malformed length prefix demanding an unbounded allocation.
 pub const MAX_FRAME_BYTES: usize = 1 << 26; // 64 MiB
 
+/// Most a payload buffer grows ahead of the bytes that fill it, so a
+/// length prefix alone reserves at most this much.
+const PAYLOAD_STEP: usize = 1 << 16; // 64 KiB
+
 /// Request opcodes.
 pub mod opcode {
     /// Score a dense row-major batch against the current snapshot.
@@ -298,10 +302,49 @@ pub fn read_frame<R: Read>(reader: &mut R, buf: &mut Vec<u8>) -> io::Result<bool
             format!("frame of {len} bytes exceeds the {MAX_FRAME_BYTES}-byte limit"),
         ));
     }
-    buf.clear();
-    buf.resize(len, 0);
-    reader.read_exact(buf)?;
+    read_payload(reader, buf, len, |err| match err {
+        Some(e) if e.kind() != io::ErrorKind::Interrupted => Err(e),
+        _ => Ok(()),
+    })?;
     Ok(true)
+}
+
+/// Reads exactly `len` payload bytes into `buf`, growing it only as bytes
+/// arrive, at most [`PAYLOAD_STEP`] ahead of them; a buffer that already
+/// has the capacity is reused without allocating. After each read that
+/// leaves the payload short, `wait` gets that read's error, if any, and
+/// returns `Ok` to read again or an error to abandon the frame.
+pub(crate) fn read_payload(
+    reader: &mut impl Read,
+    buf: &mut Vec<u8>,
+    len: usize,
+    mut wait: impl FnMut(Option<io::Error>) -> io::Result<()>,
+) -> io::Result<()> {
+    buf.clear();
+    let mut filled = 0;
+    while filled < len {
+        // Each byte is zeroed once, a step at a time, before it is read.
+        if filled == buf.len() {
+            buf.resize(len.min(filled + PAYLOAD_STEP), 0);
+        }
+        let err = match reader.read(&mut buf[filled..]) {
+            Ok(0) => {
+                return Err(io::Error::new(
+                    io::ErrorKind::UnexpectedEof,
+                    "stream ended inside a frame payload",
+                ))
+            }
+            Ok(n) => {
+                filled += n;
+                None
+            }
+            Err(e) => Some(e),
+        };
+        if filled < len {
+            wait(err)?;
+        }
+    }
+    Ok(())
 }
 
 /// Writes an already-encoded frame (as built by the `encode_*` helpers)
@@ -428,5 +471,17 @@ mod tests {
         let mut payload = Vec::new();
         let err = read_frame(&mut cursor, &mut payload).expect_err("over limit");
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+    }
+
+    #[test]
+    fn a_length_prefix_alone_reserves_no_more_than_arrives() {
+        // A peer declares the largest legal frame, sends 10 bytes, and
+        // hangs up: the buffer must not have grown to the declared size.
+        let mut stream = (MAX_FRAME_BYTES as u32).to_le_bytes().to_vec();
+        stream.extend_from_slice(&[7; 10]);
+        let mut payload = Vec::new();
+        let err = read_frame(&mut io::Cursor::new(stream), &mut payload).expect_err("short");
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+        assert!(payload.capacity() <= 1 << 20, "{}", payload.capacity());
     }
 }
